@@ -1,11 +1,12 @@
 """The sqrt-decomposition store answers crossing queries without scanning.
 
 A flip-repair step needs the set of chords crossing a queried chord.  The
-store keeps the tour in chunks of about sqrt(M) positions, pair lists for
-chunk pairs, and a balanced tree of per-chunk count vectors, so the crossing
-count splits into an aggregate class (read off tree vectors) and a boundary
-class (a short explicit scan).  Updates reorder three segments and rebuild
-O(1) chunks.  Every answer here is exact; the naive scan confirms it.
+store keeps the tour in chunks of about sqrt(M) positions, listed in tour
+order, with pair lists for chunk pairs and a matrix of chord counts per
+chunk pair, so the crossing count splits into an aggregate class (one
+vectorized sum of count-matrix rows) and a boundary class (a short explicit
+scan).  Updates splice three segments of the chunk list and rebuild O(1)
+chunks.  Every answer here is exact; the naive scan confirms it.
 """
 
 import time
@@ -19,7 +20,7 @@ from tourwalk.walk import WalkState, step_fast, step_naive
 print("== build and query ==")
 g = gen_regular2(256, seed=1)  # M = 512
 tour = hierholzer_tour(g)
-store = ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs], seed=2)
+store = ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
 state = WalkState(g, tour)
 print(f"M = {store.m}, chunk size B = {store.b}, chunks = {len(store.order)}")
 
@@ -42,7 +43,7 @@ print("\n== per-step cost taste (fast vs naive) ==")
 for m in (2048, 8192, 32768):
     gg = gen_regular2(m // 2, seed=3)
     tt = hierholzer_tour(gg)
-    st = ChordStore([int(e) for e in tt.arcs], [int(gg.heads[e]) for e in tt.arcs], seed=4)
+    st = ChordStore([int(e) for e in tt.arcs], [int(gg.heads[e]) for e in tt.arcs])
     ns = WalkState(gg, tt)
     rng = SplitMix64(5)
     for _ in range(50):

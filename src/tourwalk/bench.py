@@ -35,7 +35,6 @@ def bench_fast(
         [int(e) for e in tour.arcs],
         [int(g.heads[e]) for e in tour.arcs],
         chunk_size=b_override,
-        seed=seed,
     )
     build_s = time.perf_counter() - t0
     rng = SplitMix64(seed + 1)

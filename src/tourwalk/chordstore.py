@@ -1,22 +1,25 @@
 """Chunked dynamic representation of a degree-two tour for fast repairs.
 
 The tour's M occurrences are kept in chunks of size between B/2 and 2B (with
-B near sqrt(M)), ordered by a balanced randomized sequence tree.  Each tree
-node stores a count vector indexed by the chunk-identifier pool: coordinate D
-of a node counts tour chords with one endpoint inside the node's subtree and
-the other in chunk D.  Pair lists keyed by unordered chunk pairs hold the
-chords themselves.  Together these answer a crossing query and support the
-four-cut tour update in O(sqrt(M) log M) amortized time.
+B near sqrt(M)), and a plain list of chunk identifiers holds their cyclic
+order.  A count matrix indexed by the chunk-identifier pool holds, at entry
+(C, D), the number of tour chords with one endpoint in chunk C and the other
+in chunk D.  Pair lists keyed by unordered chunk pairs hold the chords
+themselves.
+
+A crossing query sums the matrix rows of the chunks strictly inside the
+queried chord, or subtracts the rows of the other chunks from the column
+totals when they are fewer, and scans the two boundary chunks explicitly.  A
+four-cut update splits at most four chunks, splices the order list and
+rebuilds undersized neighbourhoods.  One walk step is O(sqrt(M)) Python-level
+work plus one vectorized reduction over at most half of the chunk rows of the
+count matrix; it reads only the columns of identifiers in use, O(sqrt(M)) per
+row, so O(M) elements in all.
 
 Occurrences carry stable integer tokens; a token's (chunk id, offset) changes
 only when its chunk is split or rebuilt.  Chunk identifiers come from a fixed
-pool sized 4*ceil(M/B) + 8 so aggregate vectors never resize; an identifier
+pool sized 4*ceil(M/B) + 8 so the count matrix never resizes; an identifier
 is recycled only after all of its endpoint contributions have been deleted.
-
-During one tour update the tree maintains chunk and occurrence counts
-eagerly but defers the count-vector sums: changed chunks are marked dirty
-and the closure of their ancestors is re-summed once at the end, which costs
-the same O(log q) vector recomputations without per-chord path walks.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class CrossingQueryResult:
     pb: int
     w_a: int
     w_b: int
-    vf_masked: np.ndarray  # per-outside-chunk class-A counts, F and boundary zeroed
+    vf_masked: np.ndarray  # class-A counts per outside chunk id below id_limit
     f_chunk_ids: list[int]  # full inside chunks, in cyclic rank order
     boundary: tuple[int, ...]
     class_b: list[int]
@@ -55,14 +58,13 @@ class CrossingQueryResult:
 
 
 class ChordStore:
-    """Chunks, pair lists, and aggregate sequence tree over one tour."""
+    """Chunks in a flat cyclic order, pair lists and chunk-pair chord counts."""
 
     def __init__(
         self,
         arcs,
         owners,
         chunk_size: int | None = None,
-        seed: int = 0,
     ) -> None:
         arcs = [int(a) for a in arcs]
         owners = [int(v) for v in owners]
@@ -80,7 +82,6 @@ class ChordStore:
         if self.b < 1:
             raise ValueError("chunk size must be at least 1")
         self.pool = 4 * ((m + self.b - 1) // self.b) + 8
-        self._rng = SplitMix64(seed)
 
         self.occ_arc = arcs
         self.occ_owner = owners
@@ -88,18 +89,15 @@ class ChordStore:
         self.occ_off = [0] * m
 
         self.chunk_tokens: list[list[int] | None] = [None] * self.pool
-        self.contrib = np.zeros((self.pool, self.pool), dtype=np.int64)
-        self.coord_total = np.zeros(self.pool, dtype=np.int64)
-        self.vec = np.zeros((self.pool, self.pool), dtype=np.int64)
-        self.left = [-1] * self.pool
-        self.right = [-1] * self.pool
-        self.parent = [-1] * self.pool
-        self.prio = [0] * self.pool
-        self.cnt = [0] * self.pool
-        self.size = [0] * self.pool
+        # No count exceeds the M/2 chords; int32 halves the bytes that the
+        # class-A reduction of every crossing query reads.
+        self.contrib = np.zeros((self.pool, self.pool), dtype=np.int32)
+        self.coord_total = np.zeros(self.pool, dtype=np.int32)
         self.free_ids = list(range(self.pool - 1, -1, -1))
-        self.root = -1
-        self._dirty: set[int] = set()
+        # Identifiers are handed out lowest first and recycled last in,
+        # first out, so those below this bound (about the chunk count) are
+        # the only ones ever used: count-matrix rows are zero beyond it.
+        self.id_limit = 0
 
         vert_tok: dict[int, list[int]] = {}
         for t, v in enumerate(owners):
@@ -109,11 +107,14 @@ class ChordStore:
         self.pairs: dict[tuple[int, int], list[int]] = {}
         self.vert_key: dict[int, tuple[int, int]] = {}
         self.vert_idx: dict[int, int] = {}
-        self._stamp = {v: -1 for v in self.vertices}
-        self._stamp_clock = 0
+        self.partner = [0] * m  # the other token of the same vertex
+        for t1, t2 in self.vert_tok.values():
+            self.partner[t1] = t2
+            self.partner[t2] = t1
         self.generation = 0
 
-        # cyclic order caches, valid between tour updates
+        # the authoritative chunk order, and rank and start-position caches
+        # that are valid between tour updates
         self.order: list[int] = []
         self.rank_of = [0] * self.pool
         self.pos_base = [0] * self.pool
@@ -125,7 +126,9 @@ class ChordStore:
     def _alloc(self) -> int:
         if not self.free_ids:
             raise AssertionError("chunk identifier pool exhausted")
-        return self.free_ids.pop()
+        cid = self.free_ids.pop()
+        self.id_limit = max(self.id_limit, cid + 1)
+        return cid
 
     def _retire(self, cid: int) -> None:
         if self.coord_total[cid] != 0 or self.contrib[cid].any():
@@ -133,10 +136,6 @@ class ChordStore:
                 f"identifier {cid} retired with live endpoint contributions"
             )
         self.chunk_tokens[cid] = None
-        self.left[cid] = self.right[cid] = self.parent[cid] = -1
-        self.cnt[cid] = self.size[cid] = 0
-        self._dirty.discard(cid)
-        self.vec[cid].fill(0)
         self.free_ids.append(cid)
 
     def _partition(self, tokens: list[int]) -> list[list[int]]:
@@ -150,15 +149,13 @@ class ChordStore:
 
     def _build_initial(self) -> None:
         groups = self._partition(list(range(self.m)))
-        cids = []
         for grp in groups:
             cid = self._alloc()
             self.chunk_tokens[cid] = grp
-            self.prio[cid] = self._rng.next_u64()
             for off, t in enumerate(grp):
                 self.occ_chunk[t] = cid
                 self.occ_off[t] = off
-            cids.append(cid)
+            self.order.append(cid)
         for v, (t1, t2) in self.vert_tok.items():
             c1, c2 = self.occ_chunk[t1], self.occ_chunk[t2]
             self._pair_insert(v, c1, c2)
@@ -166,10 +163,6 @@ class ChordStore:
             self.contrib[c2, c1] += 1
             self.coord_total[c2] += 1
             self.coord_total[c1] += 1
-        self.root = self._build_tree(cids)
-        self.parent[self.root] = -1
-        self._dirty.update(cids)
-        self._flush()
         self._refresh_order()
 
     # -- pair lists -------------------------------------------------------------
@@ -192,7 +185,7 @@ class ChordStore:
         if not lst:
             del self.pairs[key]
 
-    # -- aggregates (contributions now, tree vectors at flush) ---------------------
+    # -- chunk-pair counts ---------------------------------------------------------
 
     def _contrib_add(self, c1: int, c2: int, delta: int) -> None:
         contrib = self.contrib
@@ -201,8 +194,6 @@ class ChordStore:
         total[c2] += delta
         contrib[c2, c1] += delta
         total[c1] += delta
-        self._dirty.add(c1)
-        self._dirty.add(c2)
 
     def _chords_remove(self, vertices) -> None:
         """Drop pair-list entries and endpoint contributions for many chords."""
@@ -241,183 +232,17 @@ class ChordStore:
         else:
             np.add.at(self.contrib, (a, b), -1)
             np.add.at(self.coord_total, b, -1)
-        self._dirty.update(ones)
-        self._dirty.update(twos)
 
-    def _flush(self) -> None:
-        """Recompute subtree vectors over the dirty ancestor closure.
-
-        When most chunks are dirty the closure is the whole tree, so skip
-        building it and re-sum every node instead.
-        """
-        if not self._dirty:
-            return
-        q = self.cnt[self.root] if self.root != -1 else 0
-        closure: set[int] | None
-        if 3 * len(self._dirty) >= q:
-            closure = None
-        else:
-            closure = set()
-            parent = self.parent
-            for c in self._dirty:
-                node = c
-                while node != -1 and node not in closure:
-                    closure.add(node)
-                    node = parent[node]
-        self._dirty.clear()
-
-        left, right, vec, contrib = self.left, self.right, self.vec, self.contrib
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node == -1 or (closure is not None and node not in closure):
-                continue
-            if expanded:
-                row = vec[node]
-                np.copyto(row, contrib[node])
-                if left[node] != -1:
-                    row += vec[left[node]]
-                if right[node] != -1:
-                    row += vec[right[node]]
-            else:
-                stack.append((node, True))
-                stack.append((left[node], False))
-                stack.append((right[node], False))
-
-    # -- sequence tree --------------------------------------------------------------
-
-    def _pull(self, t: int) -> None:
-        """Maintain counts and parents; vector sums wait for the flush."""
-        l, r = self.left[t], self.right[t]
-        cnt = 1
-        size = len(self.chunk_tokens[t])
-        if l != -1:
-            cnt += self.cnt[l]
-            size += self.size[l]
-            self.parent[l] = t
-        if r != -1:
-            cnt += self.cnt[r]
-            size += self.size[r]
-            self.parent[r] = t
-        self.cnt[t] = cnt
-        self.size[t] = size
-        self._dirty.add(t)
-
-    def _build_tree(self, cids: list[int]) -> int:
-        """Treap over the given order via the rightmost-spine construction."""
-        stack: list[int] = []
-        for c in cids:
-            self.left[c] = -1
-            self.right[c] = -1
-            last = -1
-            while stack and self.prio[stack[-1]] < self.prio[c]:
-                last = stack.pop()
-            self.left[c] = last
-            if stack:
-                self.right[stack[-1]] = c
-            stack.append(c)
-        root = stack[0]
-        self._pull_all(root)
-        return root
-
-    def _pull_all(self, t: int) -> None:
-        if t == -1:
-            return
-        self._pull_all(self.left[t])
-        self._pull_all(self.right[t])
-        self._pull(t)
-
-    def _split(self, t: int, k: int) -> tuple[int, int]:
-        """First k chunks of subtree t versus the rest."""
-        if t == -1:
-            return -1, -1
-        lc = self.cnt[self.left[t]] if self.left[t] != -1 else 0
-        if k <= lc:
-            a, b = self._split(self.left[t], k)
-            self.left[t] = b
-            self._pull(t)
-            if a != -1:
-                self.parent[a] = -1
-            return a, t
-        a, b = self._split(self.right[t], k - lc - 1)
-        self.right[t] = a
-        self._pull(t)
-        if b != -1:
-            self.parent[b] = -1
-        return t, b
-
-    def _merge(self, a: int, b: int) -> int:
-        if a == -1:
-            return b
-        if b == -1:
-            return a
-        if self.prio[a] > self.prio[b]:
-            self.right[a] = self._merge(self.right[a], b)
-            self._pull(a)
-            return a
-        self.left[b] = self._merge(a, self.left[b])
-        self._pull(b)
-        return b
-
-    def _node_rank(self, cid: int) -> int:
-        """In-order rank of a chunk via parent walk (no caches needed)."""
-        rank = self.cnt[self.left[cid]] if self.left[cid] != -1 else 0
-        node = cid
-        parent = self.parent
-        while parent[node] != -1:
-            p = parent[node]
-            if self.right[p] == node:
-                rank += 1 + (self.cnt[self.left[p]] if self.left[p] != -1 else 0)
-            node = p
-        return rank
-
-    def _path_size_add(self, cid: int, delta: int) -> None:
-        node = cid
-        while node != -1:
-            self.size[node] += delta
-            node = self.parent[node]
+    # -- order ------------------------------------------------------------------------
 
     def _refresh_order(self) -> None:
-        order: list[int] = []
-        left, right = self.left, self.right
-        stack: list[int] = []
-        node = self.root
-        while stack or node != -1:
-            while node != -1:
-                stack.append(node)
-                node = left[node]
-            node = stack.pop()
-            order.append(node)
-            node = right[node]
-        self.order = order
+        order = self.order
         rank_of, pos_base, toks = self.rank_of, self.pos_base, self.chunk_tokens
         run = 0
         for r, c in enumerate(order):
             rank_of[c] = r
             pos_base[c] = run
             run += len(toks[c])
-
-    def _range_vec(self, lo: int, hi: int) -> np.ndarray:
-        acc = np.zeros(self.pool, dtype=np.int64)
-        if lo > hi:
-            return acc
-        self._range_vec_rec(self.root, 0, len(self.order) - 1, lo, hi, acc)
-        return acc
-
-    def _range_vec_rec(
-        self, t: int, tlo: int, thi: int, lo: int, hi: int, acc: np.ndarray
-    ) -> None:
-        if t == -1 or thi < lo or hi < tlo:
-            return
-        if lo <= tlo and thi <= hi:
-            acc += self.vec[t]
-            return
-        lc = self.cnt[self.left[t]] if self.left[t] != -1 else 0
-        mid = tlo + lc
-        self._range_vec_rec(self.left[t], tlo, mid - 1, lo, hi, acc)
-        if lo <= mid <= hi:
-            acc += self.contrib[t]
-        self._range_vec_rec(self.right[t], mid + 1, thi, lo, hi, acc)
 
     # -- positions -------------------------------------------------------------------
 
@@ -448,33 +273,39 @@ class ChordStore:
         ca, cb = self.occ_chunk[t1], self.occ_chunk[t2]
         ra, rb = self.rank_of[ca], self.rank_of[cb]
         boundary = (ca,) if ca == cb else (ca, cb)
+        hi = self.id_limit
         if ca == cb or rb == ra + 1:
             f_ids: list[int] = []
-            vf = np.zeros(self.pool, dtype=np.int64)
+            vf = np.zeros(hi, dtype=np.int32)
         else:
-            f_ids = self.order[ra + 1 : rb]
-            vf = self._range_vec(ra + 1, rb - 1)
+            order = self.order
+            f_ids = order[ra + 1 : rb]
+            if 2 * len(f_ids) <= len(order):
+                vf = self.contrib[f_ids, :hi].sum(axis=0, dtype=np.int32)
+            else:
+                outside = order[: ra + 1] + order[rb:]
+                vf = self.coord_total[:hi] - self.contrib[outside, :hi].sum(
+                    axis=0, dtype=np.int32
+                )
             vf[f_ids] = 0
         vf[list(boundary)] = 0
         w_a = int(vf.sum())
 
-        self._stamp_clock += 1
-        clock = self._stamp_clock
+        # Boundary tokens are scanned in position order, and each crossing
+        # chord is listed at its first endpoint: a partner in a boundary
+        # chunk at a smaller position means the chord was seen already.
         class_b: list[int] = []
-        stamp = self._stamp
         occ_chunk, occ_off, pos_base = self.occ_chunk, self.occ_off, self.pos_base
-        vert_tok, occ_owner = self.vert_tok, self.occ_owner
+        partner, occ_owner = self.partner, self.occ_owner
         for c in boundary:
+            q = pos_base[c]
             for tok in self.chunk_tokens[c]:
-                v = occ_owner[tok]
-                if stamp[v] == clock:
-                    continue
-                stamp[v] = clock
-                u1, u2 = vert_tok[v]
-                q1 = pos_base[occ_chunk[u1]] + occ_off[u1]
-                q2 = pos_base[occ_chunk[u2]] + occ_off[u2]
-                if (p1 < q1 < p2) + (p1 < q2 < p2) == 1:
-                    class_b.append(v)
+                u = partner[tok]
+                cu = occ_chunk[u]
+                qu = pos_base[cu] + occ_off[u]
+                if (p1 < q < p2) != (p1 < qu < p2) and not (qu < q and cu in boundary):
+                    class_b.append(occ_owner[tok])
+                q += 1
         return CrossingQueryResult(
             x=x,
             pa=p1,
@@ -553,18 +384,17 @@ class ChordStore:
         candidates: list[int] = []
         for _, tok in pts:
             candidates.extend(self._ensure_boundary_after(tok))
-        ranks = sorted(self._node_rank(self.occ_chunk[tok]) for _, tok in pts)
-        r1, r2, r3, r4 = ranks
-        a, rest = self._split(self.root, r1 + 1)
-        s1, rest = self._split(rest, r2 - r1)
-        s2, rest = self._split(rest, r3 - r2)
-        s3, e = self._split(rest, r4 - r3)
-        self.root = self._merge(a, self._merge(s3, self._merge(s2, self._merge(s1, e))))
-        self.parent[self.root] = -1
+        order = self.order
+        r1, r2, r3, r4 = sorted(order.index(self.occ_chunk[tok]) for _, tok in pts)
+        self.order = (
+            order[: r1 + 1]
+            + order[r3 + 1 : r4 + 1]
+            + order[r2 + 1 : r3 + 1]
+            + order[r1 + 1 : r2 + 1]
+            + order[r4 + 1 :]
+        )
         self._refresh_order()
         self._repair_sizes(candidates)
-        self._flush()
-        self._refresh_order()
         self.generation += 1
 
     def _ensure_boundary_after(self, tok: int) -> list[int]:
@@ -587,7 +417,6 @@ class ChordStore:
         self._chords_remove(affected)
 
         c2 = self._alloc()
-        self.prio[c2] = self._rng.next_u64()
         self.chunk_tokens[c] = kept
         self.chunk_tokens[c2] = moved
         occ_chunk, occ_off = self.occ_chunk, self.occ_off
@@ -597,16 +426,7 @@ class ChordStore:
         for off, t in enumerate(moved):
             occ_chunk[t] = c2
             occ_off[t] = off
-        self._path_size_add(c, -len(moved))
-
-        insert_rank = self._node_rank(c) + (1 if move_right else 0)
-        a, b = self._split(self.root, insert_rank)
-        self.left[c2] = self.right[c2] = -1
-        self._pull(c2)
-        self.parent[c2] = -1
-        self.root = self._merge(a, self._merge(c2, b))
-        self.parent[self.root] = -1
-
+        self.order.insert(self.order.index(c) + move_right, c2)
         self._chords_insert(affected)
         return [c, c2]
 
@@ -618,10 +438,11 @@ class ChordStore:
 
         Rebuild windows cover each maximal run of undersized chunks, widened
         by neighbor chunks only as far as needed to reach B/2 occurrences.
-        Windows are rebuilt in descending rank order, so the cached order
-        below each remaining window stays valid throughout.
+        Windows are rebuilt in descending rank order, so the cached ranks
+        below each remaining window stay valid throughout; the caches are
+        refreshed once at the end.
         """
-        q = self.cnt[self.root] if self.root != -1 else 0
+        q = len(self.order)
         if q <= 1:
             return  # degenerate single chunk
         bad = sorted(
@@ -661,6 +482,7 @@ class ChordStore:
                 windows.append([lo, hi])
         for lo, hi in reversed(windows):
             self._rebuild_window(lo, hi)
+        self._refresh_order()
 
     def _rebuild_window(self, rank_lo: int, rank_hi: int) -> None:
         old_ids = self.order[rank_lo : rank_hi + 1]
@@ -685,9 +507,7 @@ class ChordStore:
                 reused.add(best)
                 new_ids.append(best)
             else:
-                cid = self._alloc()
-                self.prio[cid] = self._rng.next_u64()
-                new_ids.append(cid)
+                new_ids.append(self._alloc())
         affected = {
             self.occ_owner[t]
             for grp, cid in zip(groups, new_ids)
@@ -696,19 +516,12 @@ class ChordStore:
         }
         self._chords_remove(affected)
 
-        a, rest = self._split(self.root, rank_lo)
-        _mid, b = self._split(rest, rank_hi - rank_lo + 1)
-
         for grp, cid in zip(groups, new_ids):
             self.chunk_tokens[cid] = grp
             for off, t in enumerate(grp):
                 occ_chunk[t] = cid
                 occ_off[t] = off
-        sub = self._build_tree(new_ids)
-        self.parent[sub] = -1
-        self.root = self._merge(a, self._merge(sub, b))
-        self.parent[self.root] = -1
-
+        self.order[rank_lo : rank_hi + 1] = new_ids
         self._chords_insert(affected)
         for c in old_ids:
             if c not in reused:
@@ -718,13 +531,13 @@ class ChordStore:
 
     def validate(self) -> tuple[bool, str]:
         """Recompute everything from the flat tour; exact equality required."""
-        if self._dirty:
-            return False, "unflushed dirty aggregate state"
         seen_tokens = []
         for c in self.order:
             toks = self.chunk_tokens[c]
             if toks is None:
                 return False, f"free chunk {c} appears in the order"
+            if c >= self.id_limit:
+                return False, f"chunk {c} lies beyond the identifier limit"
             if len(self.order) > 1 and not (
                 self.b <= 2 * len(toks) and len(toks) <= 2 * self.b
             ):
@@ -760,41 +573,9 @@ class ChordStore:
         if total != len(self.vert_tok):
             return False, f"pair lists hold {total} entries for {len(self.vert_tok)} chords"
 
-        ok, msg = self._validate_tree(self.root)
-        if not ok:
-            return False, msg
         run = 0
         for r, c in enumerate(self.order):
             if self.rank_of[c] != r or self.pos_base[c] != run:
                 return False, f"order cache stale at chunk {c}"
             run += len(self.chunk_tokens[c])
-        return True, ""
-
-    def _validate_tree(self, t: int) -> tuple[bool, str]:
-        if t == -1:
-            return True, ""
-        for child in (self.left[t], self.right[t]):
-            if child != -1:
-                if self.parent[child] != t:
-                    return False, f"parent pointer broken at chunk {child}"
-                if self.prio[child] > self.prio[t]:
-                    return False, f"heap order broken at chunk {child}"
-                ok, msg = self._validate_tree(child)
-                if not ok:
-                    return False, msg
-        cnt = 1 + sum(
-            self.cnt[ch] for ch in (self.left[t], self.right[t]) if ch != -1
-        )
-        size = len(self.chunk_tokens[t]) + sum(
-            self.size[ch] for ch in (self.left[t], self.right[t]) if ch != -1
-        )
-        if cnt != self.cnt[t] or size != self.size[t]:
-            return False, f"subtree counts stale at chunk {t}"
-        expect = self.contrib[t].copy()
-        for ch in (self.left[t], self.right[t]):
-            if ch != -1:
-                expect += self.vec[ch]
-        if not np.array_equal(expect, self.vec[t]):
-            coord = int(np.flatnonzero(expect != self.vec[t])[0])
-            return False, f"aggregate vector stale at chunk {t}, coordinate {coord}"
         return True, ""

@@ -221,20 +221,24 @@ def cmd_count(args) -> int:
 
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
-    ms = [int(x) for x in args.m_ladder.split(",") if x]
     rows = []
-    if args.steps > 0:
-        for impl in args.impl.split(","):
-            rows.extend(
-                bench_ladder(
-                    ms,
-                    args.steps,
-                    args.seed,
-                    impl=impl,
-                    b_override=args.b_override,
-                    validate=args.validate_store,
+    try:
+        ms = [int(x) for x in args.m_ladder.split(",") if x]
+        if args.steps > 0:
+            for impl in args.impl.split(","):
+                rows.extend(
+                    bench_ladder(
+                        ms,
+                        args.steps,
+                        args.seed,
+                        impl=impl,
+                        b_override=args.b_override,
+                        validate=args.validate_store,
+                    )
                 )
-            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = csv_rows(rows)
     if args.out:
         Path(args.out).write_text(text)

@@ -23,7 +23,7 @@ from .multigraph import (
 )
 from .rng import SplitMix64
 from .switchnet import expand_graph, project_tour
-from .walk import WalkState, mixing_steps, run_walk
+from .walk import WalkState, WalkStats, mixing_steps, run_walk
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ class SampleReport:
     eta_total: float = 0.0
     fallback: bool = False
     seed: int = 0
+    walk: WalkStats = field(default_factory=WalkStats)
 
     def to_json_dict(self) -> dict:
         return {
@@ -60,6 +61,12 @@ class SampleReport:
             "eta_total": self.eta_total,
             "fallback": self.fallback,
             "seed": self.seed,
+            "walk": {
+                "steps": self.walk.steps,
+                "self_loop_fraction": self.walk.self_loop_fraction,
+                "mean_crossings": self.walk.mean_crossings,
+                "validations": self.walk.validations,
+            },
         }
 
 
@@ -135,8 +142,8 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
     store = ChordStore(
         [int(e) for e in start.arcs],
         [int(star.heads[e]) for e in start.arcs],
-        seed=rng.spawn(2).next_u64(),
     )
+    rng.spawn(2)  # once the store's seed; skipping the draw would change every tour
     timings["build"] = time.perf_counter() - t
 
     steps = (
@@ -146,7 +153,7 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
     )
     state = WalkState(star, start) if cfg.debug else None
     t = time.perf_counter()
-    tour_star, _stats = run_walk(state, store, steps, rng.spawn(3), debug=cfg.debug)
+    tour_star, walk_stats = run_walk(state, store, steps, rng.spawn(3), debug=cfg.debug)
     timings["walk"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -162,6 +169,7 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
         eta_total=emap.eta_total,
         fallback=False,
         seed=cfg.seed,
+        walk=walk_stats,
     )
 
 
@@ -184,8 +192,8 @@ def sample_degree_two(
     store = ChordStore(
         [int(e) for e in start.arcs],
         [int(h.heads[e]) for e in start.arcs],
-        seed=rng.spawn(1).next_u64(),
     )
+    rng.spawn(1)  # once the store's seed; skipping the draw would change every tour
     steps = (
         cfg.step_override
         if cfg.step_override is not None

@@ -155,7 +155,6 @@ def suite_chain(max_arcs: int = 12, graphs: int = 50, seed: int = 0):
         store = ChordStore(
             [int(e) for e in tour.arcs],
             [int(g.heads[e]) for e in tour.arcs],
-            seed=seed + gi,
         )
         agree = True
         for x in state.vertices:
@@ -430,9 +429,7 @@ def repair_uniformity_chi2(
     """Chi-square p-value for sample_repair's law on a fixed state."""
     g = gen_regular2(m // 2, seed)
     tour = hierholzer_tour(g)
-    store = ChordStore(
-        [int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs], seed=seed
-    )
+    store = ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
     rng = SplitMix64(seed + 1)
     # pick the vertex with the largest crossing set for a meaningful test
     best_x, best_w = 0, -1
@@ -456,9 +453,7 @@ def equivalence_run(m: int, steps: int, seed: int = 0) -> dict:
     g = gen_regular2(m // 2, seed)
     tour = hierholzer_tour(g)
     state = WalkState(g, tour)
-    store = ChordStore(
-        [int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs], seed=seed
-    )
+    store = ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
     r1, r2 = SplitMix64(seed + 1), SplitMix64(seed + 1)
     ok = True
     for i in range(1, steps + 1):

@@ -322,9 +322,7 @@ def test_criterion_7_data_structure_equivalence():
     g = gen_regular2(512, seed=11)  # M = 1024
     tour = hierholzer_tour(g)
     state = WalkState(g, tour)
-    store = ChordStore(
-        [int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs], seed=12
-    )
+    store = ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
     r1, r2 = SplitMix64(2024), SplitMix64(2024)
     steps = 100_000
     validations = 0

@@ -19,7 +19,7 @@ def store_for(g, tour=None, **kw):
 
 def test_build_m4_b2_two_chunks():
     g = double_pair()
-    store = store_for(g, chunk_size=2, seed=1)
+    store = store_for(g, chunk_size=2)
     assert len(store.order) == 2
     assert sum(len(lst) for lst in store.pairs.values()) == 2
     assert store.validate() == (True, "")
@@ -27,7 +27,7 @@ def test_build_m4_b2_two_chunks():
 
 def test_build_degenerate_single_chunk():
     g = double_pair()
-    store = store_for(g, chunk_size=16, seed=1)  # M=4 < B/2
+    store = store_for(g, chunk_size=16)  # M=4 < B/2
     assert len(store.order) == 1
     res = store.crossing_query(0)
     assert res.w_total == 1 and store.crossing_vertices(res) == [1]
@@ -42,13 +42,13 @@ def test_build_rejects_bad_ownership():
 
 def test_build_random_validates():
     g = gen_regular2(512, seed=7)
-    store = store_for(g, chunk_size=32, seed=2)
+    store = store_for(g, chunk_size=32)
     assert store.validate() == (True, "")
 
 
 def test_crossing_query_examples():
     g = double_pair()
-    store = store_for(g, seed=1)
+    store = store_for(g)
     res = store.crossing_query(0)
     assert res.w_total == 1
     assert store.crossing_vertices(res) == [1]
@@ -56,7 +56,7 @@ def test_crossing_query_examples():
     nested_g, nested_tour = graph_from_diagram(
         diagram_from_pairs({0: (0, 3), 1: (1, 2)})
     )
-    nstore = store_for(nested_g, nested_tour, seed=1)
+    nstore = store_for(nested_g, nested_tour)
     assert nstore.crossing_query(0).w_total == 0
     assert nstore.crossing_query(1).w_total == 0
 
@@ -64,7 +64,7 @@ def test_crossing_query_examples():
 def test_crossing_query_matches_naive_scan():
     g = gen_regular2(512, seed=3)
     tour = hierholzer_tour(g)
-    store = store_for(g, tour, seed=5)
+    store = store_for(g, tour)
     state = WalkState(g, tour)
     rng = SplitMix64(17)
     for trial in range(1500):
@@ -82,7 +82,7 @@ def test_crossing_query_matches_naive_scan():
 
 def test_sample_repair_forced_when_no_crossings():
     g, tour = graph_from_diagram(diagram_from_pairs({0: (0, 3), 1: (1, 2)}))
-    store = store_for(g, tour, seed=1)
+    store = store_for(g, tour)
     res = store.crossing_query(0)
     rng = SplitMix64(3)
     assert all(store.sample_repair(0, res, rng) == 0 for _ in range(64))
@@ -90,7 +90,7 @@ def test_sample_repair_forced_when_no_crossings():
 
 def test_sample_repair_one_crossing_is_half_half():
     g = double_pair()
-    store = store_for(g, seed=1)
+    store = store_for(g)
     res = store.crossing_query(0)
     rng = SplitMix64(11)
     hits = sum(store.sample_repair(0, res, rng) == 0 for _ in range(40000))
@@ -100,7 +100,7 @@ def test_sample_repair_one_crossing_is_half_half():
 def test_sample_repair_chi_square_uniformity():
     g = gen_regular2(128, seed=0)
     tour = hierholzer_tour(g)
-    store = store_for(g, tour, seed=0)
+    store = store_for(g, tour)
     best_x = max(store.vertices, key=lambda x: store.crossing_query(x).w_total)
     res = store.crossing_query(best_x)
     assert res.w_total >= 5
@@ -118,7 +118,7 @@ def test_sample_repair_chi_square_uniformity():
 
 def test_sample_repair_rejects_stale_result():
     g = double_pair()
-    store = store_for(g, seed=1)
+    store = store_for(g)
     res = store.crossing_query(0)
     store.apply_four_cut(0, 1)
     with pytest.raises(ValueError, match="stale"):
@@ -127,7 +127,7 @@ def test_sample_repair_rejects_stale_result():
 
 def test_four_cut_double_pair_and_involution():
     g = double_pair()
-    store = store_for(g, seed=1)
+    store = store_for(g)
     store.apply_four_cut(0, 1)
     assert store.tour() == Tour.canonical([0, 3, 2, 1])
     store.apply_four_cut(0, 1)
@@ -136,7 +136,7 @@ def test_four_cut_double_pair_and_involution():
 
 def test_four_cut_rejects_non_crossing():
     g, tour = graph_from_diagram(diagram_from_pairs({0: (0, 3), 1: (1, 2)}))
-    store = store_for(g, tour, seed=1)
+    store = store_for(g, tour)
     with pytest.raises(ValueError, match="do not cross"):
         store.apply_four_cut(0, 1)
     with pytest.raises(ValueError):
@@ -146,7 +146,7 @@ def test_four_cut_rejects_non_crossing():
 def test_four_cut_long_random_run_validates():
     g = gen_regular2(256, seed=9)
     tour = hierholzer_tour(g)
-    store = store_for(g, tour, seed=4)
+    store = store_for(g, tour)
     state = WalkState(g, tour)
     rng = SplitMix64(21)
     updates = 0
@@ -169,23 +169,52 @@ def test_four_cut_long_random_run_validates():
 
 def test_validator_fault_injection():
     g = gen_regular2(64, seed=2)
-    store = store_for(g, seed=3)
+    store = store_for(g)
     assert store.validate() == (True, "")
-    store.vec[store.root][0] += 1
-    ok, msg = store.validate()
-    assert not ok and "aggregate" in msg
-    store.vec[store.root][0] -= 1
-    assert store.validate() == (True, "")
-    lst = next(iter(store.pairs.values()))
-    lst.append(lst[0])
-    ok, msg = store.validate()
-    assert not ok
-    lst.pop()
+    c1, c2 = store.order[0], store.order[1]
+    last = store.order[-1]
+
+    def bump_contrib(d):
+        store.contrib[c1, c2] += d
+        store.contrib[c2, c1] += d
+
+    def bump_total(d):
+        store.coord_total[c1] += d
+
+    def bump_rank(d):
+        store.rank_of[last] += d
+
+    def bump_base(d):
+        store.pos_base[last] += d
+
+    def drop_limit(d):
+        store.id_limit -= d
+
+    def duplicate_pair_entry(d):
+        lst = next(iter(store.pairs.values()))
+        if d > 0:
+            lst.append(lst[0])
+        else:
+            lst.pop()
+
+    for fault, words in (
+        (bump_contrib, "contribution mismatch"),
+        (bump_total, "coordinate totals mismatch"),
+        (bump_rank, "order cache stale"),
+        (bump_base, "order cache stale"),
+        (drop_limit, "identifier limit"),
+        (duplicate_pair_entry, "pair lists hold"),
+    ):
+        fault(1)
+        ok, msg = store.validate()
+        fault(-1)
+        assert not ok and words in msg, msg
+        assert store.validate() == (True, "")
 
 
 def test_two_loop_store():
     g = two_loops()
-    store = store_for(g, seed=1)
+    store = store_for(g)
     res = store.crossing_query(0)
     assert res.w_total == 0
     assert store.tour() == Tour.canonical([0, 1])

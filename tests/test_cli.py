@@ -160,6 +160,19 @@ def test_bench_header_only_when_zero_steps(tmp_path):
     assert out.read_text().strip() == "impl,M,B,steps,ns_per_step,query_ns,update_ns,build_s"
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["--m-ladder", "7", "--steps", "5"], "m must be even"),
+        (["--m-ladder", "64", "--steps", "5", "--impl", "foo"], "impl must be"),
+    ],
+)
+def test_bench_usage_error_exits_two(argv, words, capsys):
+    assert main(["bench", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err
+
+
 def test_bench_small_ladder(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(

@@ -148,3 +148,14 @@ def test_report_json_roundtrip():
     assert payload["fallback"] is False
     assert payload["steps"] == rep.steps
     assert payload["tour"] == list(rep.tour.arcs)
+    walk = payload["walk"]
+    assert walk["steps"] == rep.steps > 0
+    assert 0.0 <= walk["self_loop_fraction"] <= 1.0
+    assert walk["mean_crossings"] >= 0.0
+    assert walk["validations"] >= 1
+    assert walk == {
+        "steps": rep.walk.steps,
+        "self_loop_fraction": rep.walk.self_loop_fraction,
+        "mean_crossings": rep.walk.mean_crossings,
+        "validations": rep.walk.validations,
+    }

@@ -32,10 +32,8 @@ from tourwalk.walk import (
 )
 
 
-def make_store(g, tour, seed=0):
-    return ChordStore(
-        [int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs], seed=seed
-    )
+def make_store(g, tour):
+    return ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
 
 
 def test_crossing_set_double_pair():
@@ -100,7 +98,7 @@ def test_paired_trajectories_identical():
     g = gen_regular2(48, seed=6)
     tour = hierholzer_tour(g)
     state = WalkState(g, tour)
-    store = make_store(g, tour, seed=8)
+    store = make_store(g, tour)
     r1, r2 = SplitMix64(33), SplitMix64(33)
     for i in range(1500):
         o1 = step_naive(state, r1)
@@ -117,7 +115,7 @@ def test_one_step_distribution_equality_exhaustive():
         census = enumerate_tours(g)
         for tour in census.tours:
             state = WalkState(g, tour)
-            store = make_store(g, tour, seed=1)
+            store = make_store(g, tour)
             for x in state.vertices:
                 naive = state.crossing_vertices(x)
                 res = store.crossing_query(x)
@@ -215,7 +213,7 @@ def test_run_walk_occupation_triangle():
 def test_run_walk_stats_and_debug_validation():
     g = gen_regular2(16, seed=4)
     tour = hierholzer_tour(g)
-    store = make_store(g, tour, seed=2)
+    store = make_store(g, tour)
     state = WalkState(g, tour)
     out, stats = run_walk(state, store, 500, SplitMix64(3), debug=True)
     assert stats.steps == 500
