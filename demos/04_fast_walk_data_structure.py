@@ -9,8 +9,7 @@ scan).  Updates splice three segments of the chunk list and rebuild O(1)
 chunks.  Every answer here is exact; the naive scan confirms it.
 """
 
-import time
-
+from tourwalk.bench import bench_rung
 from tourwalk.chordstore import ChordStore
 from tourwalk.generators import gen_regular2
 from tourwalk.multigraph import hierholzer_tour
@@ -20,7 +19,7 @@ from tourwalk.walk import WalkState, step_fast, step_naive
 print("== build and query ==")
 g = gen_regular2(256, seed=1)  # M = 512
 tour = hierholzer_tour(g)
-store = ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
+store = ChordStore(tour.arcs, g.heads)
 state = WalkState(g, tour)
 print(f"M = {store.m}, chunk size B = {store.b}, chunks = {len(store.order)}")
 
@@ -33,7 +32,7 @@ print("\n== paired walks stay identical on shared randomness ==")
 r1, r2 = SplitMix64(7), SplitMix64(7)
 for i in range(2000):
     o1 = step_naive(state, r1)
-    o2 = step_fast(None, store, r2, mirror=True)
+    o2 = step_fast(store, r2, mirror=True)
     assert (o1.x, o1.y, o1.crossings) == (o2.x, o2.y, o2.crossings)
 print("2000 steps, trajectories identical, tours equal:", state.tour() == store.tour())
 ok, msg = store.validate()
@@ -41,21 +40,10 @@ print("from-scratch validator:", ok)
 
 print("\n== per-step cost taste (fast vs naive) ==")
 for m in (2048, 8192, 32768):
-    gg = gen_regular2(m // 2, seed=3)
-    tt = hierholzer_tour(gg)
-    st = ChordStore([int(e) for e in tt.arcs], [int(gg.heads[e]) for e in tt.arcs])
-    ns = WalkState(gg, tt)
-    rng = SplitMix64(5)
-    for _ in range(50):
-        step_fast(None, st, rng)
-    t0 = time.perf_counter()
-    for _ in range(200):
-        step_fast(None, st, rng)
-    fast_us = (time.perf_counter() - t0) / 200 * 1e6
-    rng2 = SplitMix64(5)
-    t0 = time.perf_counter()
-    for _ in range(50):
-        step_naive(ns, rng2)
-    naive_us = (time.perf_counter() - t0) / 50 * 1e6
-    print(f"M={m:6d}: fast {fast_us:8.0f} us/step   naive {naive_us:8.0f} us/step")
+    fast = bench_rung(m, steps=200, seed=3, impl="fast")
+    naive = bench_rung(m, steps=50, seed=3, impl="naive")
+    print(
+        f"M={m:6d}: fast {fast['ns_per_step'] / 1e3:8.0f} us/step   "
+        f"naive {naive['ns_per_step'] / 1e3:8.0f} us/step"
+    )
 print("fast grows like sqrt(M); the naive scan grows linearly")

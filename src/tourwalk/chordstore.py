@@ -60,17 +60,18 @@ class CrossingQueryResult:
 class ChordStore:
     """Chunks in a flat cyclic order, pair lists and chunk-pair chord counts."""
 
-    def __init__(
-        self,
-        arcs,
-        owners,
-        chunk_size: int | None = None,
-    ) -> None:
+    def __init__(self, arcs, heads, chunk_size: int | None = None) -> None:
+        """Store the tour ``arcs``; position p belongs to vertex heads[arcs[p]].
+
+        ``heads`` maps every arc to its head vertex (a graph's ``heads``
+        array); each vertex must own exactly two positions.  ``chunk_size``
+        overrides B = ceil(sqrt(M)).
+        """
         arcs = [int(a) for a in arcs]
-        owners = [int(v) for v in owners]
         m = len(arcs)
-        if m == 0 or len(owners) != m:
-            raise ValueError("need one owner per tour position")
+        if m == 0:
+            raise ValueError("tour has no positions")
+        owners = np.asarray(heads)[arcs].tolist()
         counts: dict[int, int] = {}
         for v in owners:
             counts[v] = counts.get(v, 0) + 1
@@ -156,13 +157,7 @@ class ChordStore:
                 self.occ_chunk[t] = cid
                 self.occ_off[t] = off
             self.order.append(cid)
-        for v, (t1, t2) in self.vert_tok.items():
-            c1, c2 = self.occ_chunk[t1], self.occ_chunk[t2]
-            self._pair_insert(v, c1, c2)
-            self.contrib[c1, c2] += 1
-            self.contrib[c2, c1] += 1
-            self.coord_total[c2] += 1
-            self.coord_total[c1] += 1
+        self._chords_insert(self.vert_tok)
         self._refresh_order()
 
     # -- pair lists -------------------------------------------------------------
@@ -221,6 +216,7 @@ class ChordStore:
         if not ones:
             return
         if len(ones) < 8:
+            # small batches stay scalar: np.add.at on them made gadget6c slower
             for c1, c2 in zip(ones, twos):
                 self._contrib_add(c1, c2, delta)
             return

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import bench_ladder, csv_rows
+from .bench import bench_rung, csv_rows
 from .generators import gen_bidirected, gen_random_eulerian, gen_regular2
 from .multigraph import (
     graph_from_text,
@@ -90,7 +90,7 @@ def cmd_sample(args) -> int:
                 results["report_path"] = args.report
             results["tour"] = list(report.tour.arcs)
             results["steps"] = report.steps
-            results["fallback"] = report.fallback
+            results["walk"] = report.to_json_dict()["walk"]
         else:
             tours = []
             for i in range(args.runs):
@@ -225,17 +225,13 @@ def cmd_bench(args) -> int:
     try:
         ms = [int(x) for x in args.m_ladder.split(",") if x]
         if args.steps > 0:
-            for impl in args.impl.split(","):
-                rows.extend(
-                    bench_ladder(
-                        ms,
-                        args.steps,
-                        args.seed,
-                        impl=impl,
-                        b_override=args.b_override,
-                        validate=args.validate_store,
-                    )
+            rows = [
+                bench_rung(
+                    m, args.steps, args.seed, impl, args.b_override, validate=args.validate_store
                 )
+                for impl in args.impl.split(",")
+                for m in ms
+            ]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from .multigraph import (
 )
 from .rng import SplitMix64
 from .switchnet import expand_graph, project_tour
-from .walk import WalkState, WalkStats, mixing_steps, run_walk
+from .walk import WalkStats, mixing_steps, run_walk
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class SampleReport:
     steps: int
     timings: dict[str, float] = field(default_factory=dict)
     eta_total: float = 0.0
-    fallback: bool = False
     seed: int = 0
     walk: WalkStats = field(default_factory=WalkStats)
 
@@ -59,7 +58,6 @@ class SampleReport:
             "steps": self.steps,
             "timings": self.timings,
             "eta_total": self.eta_total,
-            "fallback": self.fallback,
             "seed": self.seed,
             "walk": {
                 "steps": self.walk.steps,
@@ -74,8 +72,8 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
     """Sample a tour within cfg.eps total variation of uniform on ET(g).
 
     Deterministic given (graph, config, seed).  The output is always a valid
-    tour of g, whatever the random gadget constructions did; a malformed
-    expansion only sets the fallback flag and returns the Hierholzer tour.
+    tour of g; an expansion that is not 2-in/2-out and Eulerian is an
+    internal fault and raises AssertionError.
     """
     viol = eulerian_violation(g)
     if viol is not None:
@@ -88,15 +86,9 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
 
     active = g.active_vertices()
     degrees = [len(g.out_arcs[v]) for v in active]
-    if all(d == 1 for d in degrees):
-        # strongly connected with all degrees one: a directed cycle
-        tour = hierholzer_tour(g)
-        timings["total"] = time.perf_counter() - t0
-        return SampleReport(
-            tour=tour, expanded_arcs=g.m, steps=0, timings=timings, seed=cfg.seed
-        )
-    if len(active) == 1 and degrees[0] == 2:
-        # one vertex with two loops: a unique tour
+    if all(d == 1 for d in degrees) or (len(active) == 1 and degrees[0] == 2):
+        # a directed cycle (strongly connected, all degrees one) or one
+        # vertex with two loops: the tour is unique
         tour = hierholzer_tour(g)
         timings["total"] = time.perf_counter() - t0
         return SampleReport(
@@ -125,24 +117,11 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
 
     star = emap.star
     if not (star.is_degree_two() and validate_eulerian(star) and star.m >= 1):
-        tour = hierholzer_tour(g)
-        timings["total"] = time.perf_counter() - t0
-        return SampleReport(
-            tour=tour,
-            expanded_arcs=star.m,
-            steps=0,
-            timings=timings,
-            eta_total=emap.eta_total,
-            fallback=True,
-            seed=cfg.seed,
-        )
+        raise AssertionError("expanded graph is not 2-in/2-out and Eulerian")
 
     t = time.perf_counter()
     start = hierholzer_tour(star)
-    store = ChordStore(
-        [int(e) for e in start.arcs],
-        [int(star.heads[e]) for e in start.arcs],
-    )
+    store = ChordStore(start.arcs, star.heads)
     rng.spawn(2)  # once the store's seed; skipping the draw would change every tour
     timings["build"] = time.perf_counter() - t
 
@@ -151,9 +130,10 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
         if cfg.step_override is not None
         else mixing_steps(star.n, cfg.eps / 2.0, cfg.c_mix)
     )
-    state = WalkState(star, start) if cfg.debug else None
     t = time.perf_counter()
-    tour_star, walk_stats = run_walk(state, store, steps, rng.spawn(3), debug=cfg.debug)
+    tour_star, walk_stats = run_walk(
+        store, steps, rng.spawn(3), debug_graph=star if cfg.debug else None
+    )
     timings["walk"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -167,7 +147,6 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
         steps=steps,
         timings=timings,
         eta_total=emap.eta_total,
-        fallback=False,
         seed=cfg.seed,
         walk=walk_stats,
     )
@@ -189,16 +168,13 @@ def sample_degree_two(
     if n <= 1:
         return start
     rng = SplitMix64(cfg.seed)
-    store = ChordStore(
-        [int(e) for e in start.arcs],
-        [int(h.heads[e]) for e in start.arcs],
-    )
+    store = ChordStore(start.arcs, h.heads)
     rng.spawn(1)  # once the store's seed; skipping the draw would change every tour
     steps = (
         cfg.step_override
         if cfg.step_override is not None
         else mixing_steps(n, eps, cfg.c_mix)
     )
-    tour, _ = run_walk(None, store, steps, rng.spawn(2))
+    tour, _ = run_walk(store, steps, rng.spawn(2))
     tour.validate_in(h)
     return tour

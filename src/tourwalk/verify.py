@@ -152,10 +152,7 @@ def suite_chain(max_arcs: int = 12, graphs: int = 50, seed: int = 0):
         # one-step exact-distribution equality: candidate sets must agree
         tour = census.tours[0]
         state = WalkState(g, tour)
-        store = ChordStore(
-            [int(e) for e in tour.arcs],
-            [int(g.heads[e]) for e in tour.arcs],
-        )
+        store = ChordStore(tour.arcs, g.heads)
         agree = True
         for x in state.vertices:
             naive = state.crossing_vertices(x)
@@ -429,7 +426,7 @@ def repair_uniformity_chi2(
     """Chi-square p-value for sample_repair's law on a fixed state."""
     g = gen_regular2(m // 2, seed)
     tour = hierholzer_tour(g)
-    store = ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
+    store = ChordStore(tour.arcs, g.heads)
     rng = SplitMix64(seed + 1)
     # pick the vertex with the largest crossing set for a meaningful test
     best_x, best_w = 0, -1
@@ -453,12 +450,12 @@ def equivalence_run(m: int, steps: int, seed: int = 0) -> dict:
     g = gen_regular2(m // 2, seed)
     tour = hierholzer_tour(g)
     state = WalkState(g, tour)
-    store = ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
+    store = ChordStore(tour.arcs, g.heads)
     r1, r2 = SplitMix64(seed + 1), SplitMix64(seed + 1)
     ok = True
     for i in range(1, steps + 1):
         o1 = step_naive(state, r1)
-        o2 = step_fast(None, store, r2, mirror=True)
+        o2 = step_fast(store, r2, mirror=True)
         if (o1.x, o1.y, o1.crossings) != (o2.x, o2.y, o2.crossings):
             ok = False
             break

@@ -11,7 +11,9 @@ vertex draw and one uniform real.  ``step_naive`` scans the whole tour;
 mirrored mode the fast step resolves the uniform real against the same
 vertex-id-sorted candidate list as the naive step, which makes paired
 trajectories identical; in its default mode it uses the store's two-stage
-class draw, which has the same distribution at sublinear cost.
+class draw, which has the same distribution at sublinear cost.  The naive
+step keeps its tour in a WalkState; the fast step keeps it in the ChordStore
+alone.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ class WalkState:
     """Positional view of the current tour of a 2-in/2-out graph.
 
     Keeps the cyclic arc sequence, the owner (arc head) of every position,
-    and the two positions owned by each vertex.  ``step_naive`` maintains all
-    of it; fast walks keep the authoritative tour inside their ChordStore and
-    use the state only for the vertex universe and step counting.
+    and the two positions owned by each vertex, for ``step_naive``.
     """
 
     def __init__(self, graph: DirectedMultigraph, tour: Tour) -> None:
@@ -58,11 +58,6 @@ class WalkState:
         self.pos: dict[int, list[int]] = {v: [] for v in self.vertices}
         for p, v in enumerate(self.owner):
             self.pos[v].append(p)
-        self.step = 0
-
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
 
     def tour(self) -> Tour:
         return Tour.canonical(self.arcs)
@@ -114,16 +109,10 @@ def step_naive(state: WalkState, rng: SplitMix64) -> StepOutcome:
     y = x if k == 0 else crossings[k - 1]
     if y != x:
         state.apply_four_cut(x, y)
-    state.step += 1
     return StepOutcome(x=x, y=y, crossings=w)
 
 
-def step_fast(
-    state: WalkState | None,
-    store: ChordStore,
-    rng: SplitMix64,
-    mirror: bool = False,
-) -> StepOutcome:
+def step_fast(store: ChordStore, rng: SplitMix64, mirror: bool = False) -> StepOutcome:
     """Store-backed step with the same outcome distribution as step_naive.
 
     With ``mirror=True`` the repair choice resolves the uniform real against
@@ -142,8 +131,6 @@ def step_fast(
         y = store.sample_repair(x, res, rng)
     if y != x:
         store.apply_four_cut(x, y)
-    if state is not None:
-        state.step += 1
     return StepOutcome(x=x, y=y, crossings=w)
 
 
@@ -179,21 +166,27 @@ class WalkStats:
 
 
 def run_walk(
-    state: WalkState | None,
     store: ChordStore,
     steps: int,
     rng: SplitMix64,
-    debug: bool = False,
+    debug_graph: DirectedMultigraph | None = None,
 ) -> tuple[Tour, WalkStats]:
-    """Apply ``steps`` fast steps; validate each step in debug mode, else at
-    geometrically spaced step counts."""
+    """Apply ``steps`` fast steps and return the final tour with its stats.
+
+    The store is validated from scratch at steps 1, 2, 4, ...  Given
+    ``debug_graph`` it is validated after every step, and its tour is checked
+    against that graph before the first step and after every step.
+    """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    debug = debug_graph is not None
+    if debug:
+        store.tour().validate_in(debug_graph)
     stats = WalkStats()
     t0 = time.perf_counter()
     next_check = 1
     for i in range(1, steps + 1):
-        out = step_fast(state, store, rng)
+        out = step_fast(store, rng)
         stats.steps += 1
         stats.crossing_sum += out.crossings
         if out.self_loop:
@@ -202,8 +195,8 @@ def run_walk(
             ok, msg = store.validate()
             if not ok:
                 raise AssertionError(f"store invalid after step {i}: {msg}")
-            if state is not None:
-                store.tour().validate_in(state.graph)
+            if debug:
+                store.tour().validate_in(debug_graph)
             stats.validations += 1
             if i == next_check:
                 next_check *= 2

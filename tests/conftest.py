@@ -1,8 +1,12 @@
+import dataclasses
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from tourwalk import sampler
 from tourwalk.multigraph import DirectedMultigraph
 
 
@@ -44,3 +48,17 @@ def subdivide(g: DirectedMultigraph, arc: int, times: int = 1) -> DirectedMultig
     chain.append((cur, h))
     arcs = arcs[:arc] + arcs[arc + 1 :] + chain
     return DirectedMultigraph(g.n + times, arcs)
+
+
+@pytest.fixture()
+def malformed_expansion(monkeypatch):
+    """Make the sampler's expansion drop one arc, so it is no longer Eulerian."""
+    real = sampler.expand_graph
+
+    def broken(base, **kwargs):
+        emap = real(base, **kwargs)
+        star = emap.star
+        crippled = DirectedMultigraph(star.n, [star.arc(e) for e in range(star.m - 1)])
+        return dataclasses.replace(emap, star=crippled)
+
+    monkeypatch.setattr(sampler, "expand_graph", broken)

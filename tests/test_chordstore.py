@@ -12,9 +12,7 @@ from tourwalk.walk import WalkState, step_fast
 
 def store_for(g, tour=None, **kw):
     tour = tour or hierholzer_tour(g)
-    return ChordStore(
-        [int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs], **kw
-    )
+    return ChordStore(tour.arcs, g.heads, **kw)
 
 
 def test_build_m4_b2_two_chunks():
@@ -153,7 +151,7 @@ def test_four_cut_long_random_run_validates():
     step = 0
     while updates < 3000:
         step += 1
-        out = step_fast(None, store, rng)
+        out = step_fast(store, rng)
         if not out.self_loop:
             updates += 1
         if step % 256 == 0:

@@ -43,6 +43,27 @@ def test_sample_directed_cycle(cycle5, tmp_path, capsys):
     assert manifest["results"]["steps"] == 0
 
 
+def test_sample_manifest_carries_walk_block(triangle, tmp_path):
+    manifest = tmp_path / "m.json"
+    rc = main(
+        ["sample", "--graph", str(triangle), "--eps", "0.2", "--seed", "3",
+         "--manifest", str(manifest)]
+    )
+    assert rc == 0
+    results = json.loads(manifest.read_text())["results"]
+    walk = results["walk"]
+    assert walk["steps"] == results["steps"] > 0
+    assert 0.0 <= walk["self_loop_fraction"] <= 1.0
+    assert walk["mean_crossings"] >= 0.0
+    assert walk["validations"] >= 1
+    assert "fallback" not in results
+
+
+def test_sample_malformed_expansion_exits_one(triangle, malformed_expansion, capsys):
+    assert main(["sample", "--graph", str(triangle), "--eps", "0.1", "--seed", "5"]) == 1
+    assert "internal assertion:" in capsys.readouterr().err
+
+
 def test_sample_missing_file_exits_two(tmp_path):
     assert main(["sample", "--graph", str(tmp_path / "nope.g")]) == 2
 
@@ -157,7 +178,7 @@ def test_bench_header_only_when_zero_steps(tmp_path):
         ["bench", "--m-ladder", "64,128", "--steps", "0", "--seed", "1", "--out", str(out)]
     )
     assert rc == 0
-    assert out.read_text().strip() == "impl,M,B,steps,ns_per_step,query_ns,update_ns,build_s"
+    assert out.read_text().strip() == "impl,M,B,steps,ns_per_step,build_s"
 
 
 @pytest.mark.parametrize(

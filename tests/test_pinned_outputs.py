@@ -17,7 +17,7 @@ from tourwalk.generators import gen_regular2
 from tourwalk.multigraph import DirectedMultigraph, hierholzer_tour
 from tourwalk.rng import SplitMix64
 from tourwalk.sampler import SampleConfig, sample_tour
-from tourwalk.walk import WalkState, run_walk
+from tourwalk.walk import run_walk
 
 # the acceptance suite's 6c graph: degrees (3, 1, 1, 1), 2 tours, M = 360
 GADGET_6C = DirectedMultigraph(4, [(0, 2), (0, 1), (0, 0), (1, 3), (2, 0), (3, 0)])
@@ -85,12 +85,8 @@ def test_pinned_debug_walk(n, chunk_size, self_loops, crossing_sum, walk_digest)
     """1,000 validated steps at M = 360 (default B) and M = 512 with B = 7."""
     g = gen_regular2(n, seed=6)
     tour = hierholzer_tour(g)
-    store = ChordStore(
-        [int(e) for e in tour.arcs],
-        [int(g.heads[e]) for e in tour.arcs],
-        chunk_size=chunk_size,
-    )
-    out, stats = run_walk(WalkState(g, tour), store, 1000, SplitMix64(8), debug=True)
+    store = ChordStore(tour.arcs, g.heads, chunk_size=chunk_size)
+    out, stats = run_walk(store, 1000, SplitMix64(8), debug_graph=g)
     assert stats.validations == 1000
     assert (stats.self_loops, stats.crossing_sum) == (self_loops, crossing_sum)
     assert digest(out.arcs) == walk_digest

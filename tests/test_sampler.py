@@ -1,7 +1,6 @@
 import pytest
 
 from conftest import bidirected_triangle, double_pair, loop_star, two_loops
-from tourwalk import sampler as sampler_mod
 from tourwalk.multigraph import DirectedMultigraph, hierholzer_tour
 from tourwalk.oracle import empirical_tv, enumerate_tours
 from tourwalk.rng import derived_seed
@@ -19,7 +18,6 @@ def test_directed_cycle_special_case():
     g = DirectedMultigraph(5, [(i, (i + 1) % 5) for i in range(5)])
     report = sample_tour(g, SampleConfig(eps=0.1, seed=3))
     assert report.steps == 0
-    assert not report.fallback
     assert report.tour == hierholzer_tour(g)
 
 
@@ -50,7 +48,6 @@ def test_output_always_in_census_small():
     for i in range(20):
         rep = sample_tour(g, SampleConfig(eps=0.3, seed=derived_seed(9, i)))
         assert rep.tour in census
-        assert not rep.fallback
 
 
 def test_double_pair_distribution_quick():
@@ -81,35 +78,9 @@ def test_eta_budget_recorded():
     assert rep.eta_total == pytest.approx(0.4 / (16 * g.m))
 
 
-def test_fallback_on_malformed_expansion(monkeypatch):
-    from tourwalk.switchnet import ExpansionMap
-
-    g = bidirected_triangle()
-
-    real = sampler_mod.expand_graph
-
-    def broken(base, **kwargs):
-        emap = real(base, **kwargs)
-        # drop one arc: star is no longer Eulerian
-        star = emap.star
-        crippled = DirectedMultigraph(
-            star.n, [star.arc(e) for e in range(star.m - 1)]
-        )
-        return ExpansionMap(
-            original=emap.original,
-            base=emap.base,
-            trace=emap.trace,
-            star=crippled,
-            gadgets=emap.gadgets,
-            kept=emap.kept,
-            eta_total=emap.eta_total,
-        )
-
-    monkeypatch.setattr(sampler_mod, "expand_graph", broken)
-    rep = sample_tour(g, SampleConfig(eps=0.1, seed=5))
-    assert rep.fallback
-    assert rep.tour == hierholzer_tour(g)
-    rep.tour.validate_in(g)
+def test_malformed_expansion_is_internal_fault(malformed_expansion):
+    with pytest.raises(AssertionError, match="not 2-in/2-out and Eulerian"):
+        sample_tour(bidirected_triangle(), SampleConfig(eps=0.1, seed=5))
 
 
 def test_sample_degree_two_two_loops():
@@ -145,7 +116,6 @@ def test_report_json_roundtrip():
 
     rep = sample_tour(bidirected_triangle(), SampleConfig(eps=0.2, seed=0))
     payload = json.loads(json.dumps(rep.to_json_dict()))
-    assert payload["fallback"] is False
     assert payload["steps"] == rep.steps
     assert payload["tour"] == list(rep.tour.arcs)
     walk = payload["walk"]

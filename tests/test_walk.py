@@ -33,7 +33,7 @@ from tourwalk.walk import (
 
 
 def make_store(g, tour):
-    return ChordStore([int(e) for e in tour.arcs], [int(g.heads[e]) for e in tour.arcs])
+    return ChordStore(tour.arcs, g.heads)
 
 
 def test_crossing_set_double_pair():
@@ -87,7 +87,7 @@ def test_fast_self_loop_leaves_store_untouched():
     rng = SplitMix64(1)
     gen = store.generation
     while True:
-        out = step_fast(None, store, rng)
+        out = step_fast(store, rng)
         if out.self_loop:
             break
         gen = store.generation
@@ -102,7 +102,7 @@ def test_paired_trajectories_identical():
     r1, r2 = SplitMix64(33), SplitMix64(33)
     for i in range(1500):
         o1 = step_naive(state, r1)
-        o2 = step_fast(None, store, r2, mirror=True)
+        o2 = step_fast(store, r2, mirror=True)
         assert (o1.x, o1.y, o1.crossings) == (o2.x, o2.y, o2.crossings)
     assert state.tour() == store.tour()
     assert store.validate() == (True, "")
@@ -173,7 +173,7 @@ def test_run_walk_zero_steps_returns_initial():
     g = double_pair()
     tour = hierholzer_tour(g)
     store = make_store(g, tour)
-    out, stats = run_walk(None, store, 0, SplitMix64(0))
+    out, stats = run_walk(store, 0, SplitMix64(0))
     assert out == tour and stats.steps == 0
 
 
@@ -187,7 +187,7 @@ def test_run_walk_occupation_double_pair():
     visits = [0, 0]
     steps = 100_000
     for _ in range(steps):
-        step_fast(None, store, rng)
+        step_fast(store, rng)
         visits[pos[store.tour()]] += 1
     tv = sum(abs(v / steps - 0.5) for v in visits) / 2
     assert tv <= 0.02
@@ -204,7 +204,7 @@ def test_run_walk_occupation_triangle():
     visits = [0] * 3
     steps = 60_000
     for _ in range(steps):
-        step_fast(None, store, rng)
+        step_fast(store, rng)
         visits[pos[store.tour()]] += 1
     tv = sum(abs(v / steps - 1 / 3) for v in visits) / 2
     assert tv <= 0.02
@@ -214,10 +214,19 @@ def test_run_walk_stats_and_debug_validation():
     g = gen_regular2(16, seed=4)
     tour = hierholzer_tour(g)
     store = make_store(g, tour)
-    state = WalkState(g, tour)
-    out, stats = run_walk(state, store, 500, SplitMix64(3), debug=True)
+    out, stats = run_walk(store, 500, SplitMix64(3), debug_graph=g)
     assert stats.steps == 500
     assert stats.validations == 500
     assert 0.0 < stats.self_loop_fraction < 1.0
     assert stats.mean_crossings > 0.0
     out.validate_in(g)
+
+
+def test_run_walk_debug_graph_catches_a_broken_tour():
+    g = gen_regular2(16, seed=4)
+    store = make_store(g, hierholzer_tour(g))
+    # the validator never reads the arc of a position, so it misses this
+    store.occ_arc[0], store.occ_arc[1] = store.occ_arc[1], store.occ_arc[0]
+    assert store.validate() == (True, "")
+    with pytest.raises(ValueError):
+        run_walk(store, 10, SplitMix64(3), debug_graph=g)
