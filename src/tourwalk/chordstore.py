@@ -2,16 +2,19 @@
 
 The tour's M occurrences are kept in chunks of size between B/2 and 2B (with
 B near sqrt(M)), and a plain list of chunk identifiers holds their cyclic
-order.  A count matrix indexed by the chunk-identifier pool holds, at entry
-(C, D), the number of tour chords with one endpoint in chunk C and the other
-in chunk D.  Pair lists keyed by unordered chunk pairs hold the chords
-themselves.
+order.  Pair lists keyed by unordered chunk pairs hold the chords; they are
+the record.  A count matrix indexed by the chunk-identifier pool holds, at
+entry (C, D), the number of chords with one endpoint in chunk C and the
+other in chunk D: the length of the pair list (C, D), counted twice on the
+diagonal.  It is a cache, written back once per four-cut for the pairs whose
+lists changed.
 
 A crossing query sums the matrix rows of the chunks strictly inside the
 queried chord, or subtracts the rows of the other chunks from the column
 totals when they are fewer, and scans the two boundary chunks explicitly.  A
-four-cut update splits at most four chunks, splices the order list and
-rebuilds undersized neighbourhoods.  One walk step is O(sqrt(M)) Python-level
+four-cut update splits at most four chunks, splices the order list, rebuilds
+undersized neighbourhoods and moves the chords of every changed chunk to
+their new pair lists.  One walk step is O(sqrt(M)) Python-level
 work plus one vectorized reduction over at most half of the chunk rows of the
 count matrix; it reads only the columns of identifiers in use, O(sqrt(M)) per
 row, so O(M) elements in all.
@@ -31,10 +34,6 @@ import numpy as np
 
 from .multigraph import Tour
 from .rng import SplitMix64
-
-
-def _pairkey(c: int, d: int) -> tuple[int, int]:
-    return (c, d) if c <= d else (d, c)
 
 
 @dataclass
@@ -94,6 +93,13 @@ class ChordStore:
         # class-A reduction of every crossing query reads.
         self.contrib = np.zeros((self.pool, self.pool), dtype=np.int32)
         self.coord_total = np.zeros(self.pool, dtype=np.int32)
+        # The two arrays above cache the pair lists; _flush rewrites them from
+        # the lists touched since the last flush (a deleted one as ()).
+        self.ends = [0] * self.pool  # chord endpoints per identifier
+        self._touched: dict[int, list[int] | tuple] = {}
+        # emptied lists for reuse: at large M most lists hold one chord, and
+        # a new list per re-key made the garbage collector run every few steps
+        self._spare: list[list[int]] = []
         self.free_ids = list(range(self.pool - 1, -1, -1))
         # Identifiers are handed out lowest first and recycled last in,
         # first out, so those below this bound (about the chunk count) are
@@ -105,9 +111,11 @@ class ChordStore:
             vert_tok.setdefault(v, []).append(t)
         self.vert_tok = {v: (ts[0], ts[1]) for v, ts in vert_tok.items()}
         self.vertices = sorted(self.vert_tok)
-        self.pairs: dict[tuple[int, int], list[int]] = {}
-        self.vert_key: dict[int, tuple[int, int]] = {}
-        self.vert_idx: dict[int, int] = {}
+        # pair lists keyed by c * pool + d for the chunk pair c <= d
+        self.pairs: dict[int, list[int]] = {}
+        # per vertex: the key of its pair list and its slot in that list
+        self.vert_key = [-1] * (max(owners) + 1)
+        self.vert_idx = [-1] * (max(owners) + 1)
         self.partner = [0] * m  # the other token of the same vertex
         for t1, t2 in self.vert_tok.values():
             self.partner[t1] = t2
@@ -132,7 +140,7 @@ class ChordStore:
         return cid
 
     def _retire(self, cid: int) -> None:
-        if self.coord_total[cid] != 0 or self.contrib[cid].any():
+        if self.ends[cid] != 0:
             raise AssertionError(
                 f"identifier {cid} retired with live endpoint contributions"
             )
@@ -158,76 +166,68 @@ class ChordStore:
                 self.occ_off[t] = off
             self.order.append(cid)
         self._chords_insert(self.vert_tok)
+        self._flush()
         self._refresh_order()
 
-    # -- pair lists -------------------------------------------------------------
+    # -- pair lists and the count cache -------------------------------------------
 
-    def _pair_insert(self, v: int, c1: int, c2: int) -> None:
-        key = _pairkey(c1, c2)
-        lst = self.pairs.setdefault(key, [])
-        self.vert_key[v] = key
-        self.vert_idx[v] = len(lst)
-        lst.append(v)
-
-    def _pair_remove(self, v: int) -> None:
-        key = self.vert_key.pop(v)
-        idx = self.vert_idx.pop(v)
-        lst = self.pairs[key]
-        last = lst.pop()
-        if last != v:
-            lst[idx] = last
-            self.vert_idx[last] = idx
-        if not lst:
-            del self.pairs[key]
-
-    # -- chunk-pair counts ---------------------------------------------------------
-
-    def _contrib_add(self, c1: int, c2: int, delta: int) -> None:
-        contrib = self.contrib
-        total = self.coord_total
-        contrib[c1, c2] += delta
-        total[c2] += delta
-        contrib[c2, c1] += delta
-        total[c1] += delta
+    def _pairkey(self, c: int, d: int) -> int:
+        return c * self.pool + d if c <= d else d * self.pool + c
 
     def _chords_remove(self, vertices) -> None:
-        """Drop pair-list entries and endpoint contributions for many chords."""
-        ones = []
-        twos = []
+        """Swap-remove chords from their pair lists; the counts wait for a flush."""
+        pairs, vert_key, vert_idx = self.pairs, self.vert_key, self.vert_idx
+        touched, ends, pool, spare = self._touched, self.ends, self.pool, self._spare
         for v in vertices:
-            c1, c2 = self.vert_key[v]
-            ones.append(c1)
-            twos.append(c2)
-            self._pair_remove(v)
-        self._contrib_batch(ones, twos, -1)
+            key = vert_key[v]
+            idx = vert_idx[v]
+            lst = pairs[key]
+            last = lst.pop()
+            if last != v:
+                lst[idx] = last
+                vert_idx[last] = idx
+            if lst:
+                touched[key] = lst
+            else:
+                del pairs[key]
+                spare.append(lst)
+                touched[key] = ()
+            ends[key // pool] -= 1
+            ends[key % pool] -= 1
 
     def _chords_insert(self, vertices) -> None:
-        ones = []
-        twos = []
+        """Append chords to the pair lists of their current chunk pairs."""
+        pairs, vert_key, vert_idx = self.pairs, self.vert_key, self.vert_idx
+        touched, ends, pool, spare = self._touched, self.ends, self.pool, self._spare
+        vert_tok, occ_chunk = self.vert_tok, self.occ_chunk
         for v in vertices:
-            t1, t2 = self.vert_tok[v]
-            c1, c2 = self.occ_chunk[t1], self.occ_chunk[t2]
-            ones.append(c1)
-            twos.append(c2)
-            self._pair_insert(v, c1, c2)
-        self._contrib_batch(ones, twos, 1)
+            t1, t2 = vert_tok[v]
+            c1, c2 = occ_chunk[t1], occ_chunk[t2]
+            key = c1 * pool + c2 if c1 <= c2 else c2 * pool + c1
+            lst = pairs.get(key)
+            if lst is None:
+                lst = pairs[key] = spare.pop() if spare else []
+            vert_key[v] = key
+            vert_idx[v] = len(lst)
+            lst.append(v)
+            touched[key] = lst
+            ends[c1] += 1
+            ends[c2] += 1
 
-    def _contrib_batch(self, ones: list[int], twos: list[int], delta: int) -> None:
-        if not ones:
+    def _flush(self) -> None:
+        """Write the list length of every touched chunk pair into the counts."""
+        touched = self._touched
+        if not touched:
             return
-        if len(ones) < 8:
-            # small batches stay scalar: np.add.at on them made gadget6c slower
-            for c1, c2 in zip(ones, twos):
-                self._contrib_add(c1, c2, delta)
-            return
-        a = np.array(ones + twos, dtype=np.intp)
-        b = np.array(twos + ones, dtype=np.intp)
-        if delta == 1:
-            np.add.at(self.contrib, (a, b), 1)
-            np.add.at(self.coord_total, b, 1)
-        else:
-            np.add.at(self.contrib, (a, b), -1)
-            np.add.at(self.coord_total, b, -1)
+        k = len(touched)
+        keys = np.fromiter(touched, np.intp, k)
+        n = np.fromiter(map(len, touched.values()), np.int32, k)
+        a, b = np.divmod(keys, self.pool)
+        n[a == b] *= 2  # once per endpoint, so column sums are the ends
+        self.contrib[a, b] = n
+        self.contrib[b, a] = n
+        self.coord_total[: self.id_limit] = self.ends[: self.id_limit]
+        touched.clear()
 
     # -- order ------------------------------------------------------------------------
 
@@ -244,11 +244,6 @@ class ChordStore:
 
     def token_position(self, tok: int) -> int:
         return self.pos_base[self.occ_chunk[tok]] + self.occ_off[tok]
-
-    def positions_of(self, v: int) -> tuple[int, int]:
-        t1, t2 = self.vert_tok[v]
-        p1, p2 = self.token_position(t1), self.token_position(t2)
-        return (p1, p2) if p1 < p2 else (p2, p1)
 
     def tour(self) -> Tour:
         seq = []
@@ -323,7 +318,7 @@ class ChordStore:
         for d in np.flatnonzero(res.vf_masked):
             d = int(d)
             for c in res.f_chunk_ids:
-                lst = self.pairs.get(_pairkey(c, d))
+                lst = self.pairs.get(self._pairkey(c, d))
                 if lst:
                     ids.extend(lst)
         ids.sort()
@@ -351,7 +346,7 @@ class ChordStore:
             d = int(np.searchsorted(cum, k, side="right"))
             within = k - (int(cum[d - 1]) if d else 0)
             for c in res.f_chunk_ids:
-                lst = self.pairs.get(_pairkey(c, d))
+                lst = self.pairs.get(self._pairkey(c, d))
                 if not lst:
                     continue
                 if within < len(lst):
@@ -389,8 +384,9 @@ class ChordStore:
             + order[r1 + 1 : r2 + 1]
             + order[r4 + 1 :]
         )
-        self._refresh_order()
         self._repair_sizes(candidates)
+        self._refresh_order()
+        self._flush()
         self.generation += 1
 
     def _ensure_boundary_after(self, tok: int) -> list[int]:
@@ -416,9 +412,10 @@ class ChordStore:
         self.chunk_tokens[c] = kept
         self.chunk_tokens[c2] = moved
         occ_chunk, occ_off = self.occ_chunk, self.occ_off
-        for off, t in enumerate(kept):
-            occ_chunk[t] = c
-            occ_off[t] = off
+        if not move_right:
+            # the kept right part stays in chunk c, shifted to offset 0
+            for off, t in enumerate(kept):
+                occ_off[t] = off
         for off, t in enumerate(moved):
             occ_chunk[t] = c2
             occ_off[t] = off
@@ -426,32 +423,30 @@ class ChordStore:
         self._chords_insert(affected)
         return [c, c2]
 
-    def _too_small(self, cid: int) -> bool:
-        return 2 * len(self.chunk_tokens[cid]) < self.b
-
     def _repair_sizes(self, candidates: list[int]) -> None:
         """Restore the chunk-size invariant around undersized pieces.
 
         Rebuild windows cover each maximal run of undersized chunks, widened
         by neighbor chunks only as far as needed to reach B/2 occurrences.
-        Windows are rebuilt in descending rank order, so the cached ranks
-        below each remaining window stay valid throughout; the caches are
-        refreshed once at the end.
+        Windows are rebuilt in descending rank order, so the ranks below
+        each remaining window stay valid throughout; the caller refreshes the
+        rank and position caches afterwards.
         """
-        q = len(self.order)
+        order = self.order
+        q = len(order)
         if q <= 1:
             return  # degenerate single chunk
         bad = sorted(
             {
-                self.rank_of[c]
+                order.index(c)
                 for c in set(candidates)
-                if self.chunk_tokens[c] is not None and self._too_small(c)
+                if self.chunk_tokens[c] is not None
+                and 2 * len(self.chunk_tokens[c]) < self.b
             }
         )
         if not bad:
             return
         toks = self.chunk_tokens
-        order = self.order
         windows: list[list[int]] = []
         i = 0
         while i < len(bad):
@@ -478,7 +473,6 @@ class ChordStore:
                 windows.append([lo, hi])
         for lo, hi in reversed(windows):
             self._rebuild_window(lo, hi)
-        self._refresh_order()
 
     def _rebuild_window(self, rank_lo: int, rank_hi: int) -> None:
         old_ids = self.order[rank_lo : rank_hi + 1]
@@ -545,14 +539,16 @@ class ChordStore:
         if sorted(seen_tokens) != list(range(self.m)):
             return False, "chunks do not partition the tokens"
 
+        if self._touched:
+            return False, f"{len(self._touched)} touched keys not flushed"
         contrib = np.zeros_like(self.contrib)
         for v, (t1, t2) in self.vert_tok.items():
             c1, c2 = self.occ_chunk[t1], self.occ_chunk[t2]
-            key = _pairkey(c1, c2)
-            if self.vert_key.get(v) != key:
+            key = self._pairkey(c1, c2)
+            if self.vert_key[v] != key:
                 return False, f"vertex {v} pair key mismatch"
             lst = self.pairs.get(key, [])
-            idx = self.vert_idx.get(v, -1)
+            idx = self.vert_idx[v]
             if idx < 0 or idx >= len(lst) or lst[idx] != v:
                 return False, f"vertex {v} back-index mismatch"
             contrib[c1, c2] += 1
@@ -560,7 +556,10 @@ class ChordStore:
         if not np.array_equal(contrib, self.contrib):
             c1, c2 = map(int, np.argwhere(contrib != self.contrib)[0])
             return False, f"contribution mismatch at chunks ({c1}, {c2})"
-        if not np.array_equal(contrib.sum(axis=0), self.coord_total):
+        ends = contrib.sum(axis=0)
+        if ends.tolist() != self.ends:
+            return False, "endpoint counts mismatch"
+        if not np.array_equal(ends, self.coord_total):
             return False, "coordinate totals mismatch"
         for key, lst in self.pairs.items():
             if not lst:

@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_count)
 
     pb = sub.add_parser("bench", help="per-step cost ladder")
-    pb.add_argument("--m-ladder", default="10000,40000,160000")
+    pb.add_argument("--m-ladder", default="360,10000,40000,160000")
     pb.add_argument("--steps", type=int, default=300)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--impl", default="fast", help="comma list of fast,naive")

@@ -55,17 +55,40 @@ QUOTED_RUNS = 100_000
 QUOTED_BUDGET_S = 30 * 60
 
 
+def _label(line: str) -> str:
+    return line.split(":")[0].split(" (")[0]
+
+
 def _report(line: str) -> None:
+    """Print the line and put it in the report in place of its label's line."""
     print(line)
-    with open(REPORT_PATH, "a") as fh:
-        fh.write(line + "\n")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_report():
+    try:
+        with open(REPORT_PATH) as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        lines = []
+    labels = [_label(old) for old in lines]
+    if _label(line) in labels:
+        lines[labels.index(_label(line))] = line
+    else:
+        lines.append(line)
     with open(REPORT_PATH, "w") as fh:
-        fh.write("")
-    yield
+        fh.write("".join(old + "\n" for old in lines))
+
+
+def test_report_replaces_only_its_label(tmp_path, monkeypatch):
+    path = tmp_path / "report.txt"
+    monkeypatch.setitem(globals(), "REPORT_PATH", str(path))
+    _report("ACCEPTANCE 6 (one): PASS - a")
+    _report("ACCEPTANCE 6 runtime clause: x - PASS")
+    _report("ACCEPTANCE 8 (two): PASS - b")
+    _report("ACCEPTANCE 6 (one): FAIL - c")
+    _report("ACCEPTANCE 6 runtime clause: y - XFAIL")
+    assert path.read_text().splitlines() == [
+        "ACCEPTANCE 6 (one): FAIL - c",
+        "ACCEPTANCE 6 runtime clause: y - XFAIL",
+        "ACCEPTANCE 8 (two): PASS - b",
+    ]
 
 
 def test_criterion_1_exact_kernel_agreement():
@@ -348,14 +371,19 @@ def test_criterion_7_data_structure_equivalence():
 def test_criterion_8_per_step_scaling():
     t0 = time.perf_counter()
     ladder = [10_000, 40_000, 160_000]
-    fast = [bench_rung(m, steps=400, seed=5, warmup=200) for m in ladder]
-    naive = [bench_rung(m, steps=max(30, 4000_000 // m), seed=5, impl="naive") for m in ladder]
-    fast_ratios = [
-        fast[i + 1]["ns_per_step"] / fast[i]["ns_per_step"] for i in range(2)
-    ]
-    naive_ratios = [
-        naive[i + 1]["ns_per_step"] / naive[i]["ns_per_step"] for i in range(2)
-    ]
+
+    def fastest(rung):
+        # two interleaved passes over the ladder, so a slow phase of the
+        # machine hits both passes of a rung only if it lasts that long
+        ns = [rung(m)["ns_per_step"] for _ in range(2) for m in ladder]
+        return [min(ns[i], ns[i + len(ladder)]) for i in range(len(ladder))]
+
+    fast = fastest(lambda m: bench_rung(m, steps=400, seed=5, warmup=200))
+    naive = fastest(
+        lambda m: bench_rung(m, steps=max(30, 4000_000 // m), seed=5, impl="naive")
+    )
+    fast_ratios = [fast[i + 1] / fast[i] for i in range(2)]
+    naive_ratios = [naive[i + 1] / naive[i] for i in range(2)]
     elapsed = time.perf_counter() - t0
     ok = (
         all(1.4 <= r <= 3.0 for r in fast_ratios)

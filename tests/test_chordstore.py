@@ -7,7 +7,7 @@ from tourwalk.chordstore import ChordStore
 from tourwalk.generators import gen_regular2
 from tourwalk.multigraph import Tour, hierholzer_tour
 from tourwalk.rng import SplitMix64
-from tourwalk.walk import WalkState, step_fast
+from tourwalk.walk import WalkState, run_walk, step_fast
 
 
 def store_for(g, tour=None, **kw):
@@ -188,6 +188,16 @@ def test_validator_fault_injection():
     def drop_limit(d):
         store.id_limit -= d
 
+    def leave_touched(d):
+        if d > 0:
+            key = next(iter(store.pairs))
+            store._touched[key] = store.pairs[key]
+        else:
+            store._touched.clear()
+
+    def bump_ends(d):
+        store.ends[c1] += d
+
     def duplicate_pair_entry(d):
         lst = next(iter(store.pairs.values()))
         if d > 0:
@@ -201,6 +211,8 @@ def test_validator_fault_injection():
         (bump_rank, "order cache stale"),
         (bump_base, "order cache stale"),
         (drop_limit, "identifier limit"),
+        (leave_touched, "touched keys not flushed"),
+        (bump_ends, "endpoint counts mismatch"),
         (duplicate_pair_entry, "pair lists hold"),
     ):
         fault(1)
@@ -208,6 +220,33 @@ def test_validator_fault_injection():
         fault(-1)
         assert not ok and words in msg, msg
         assert store.validate() == (True, "")
+
+
+def test_retire_rejects_identifier_with_endpoints():
+    g = gen_regular2(64, seed=2)
+    store = store_for(g)
+    cid = store.order[0]
+    assert store.ends[cid] == len(store.chunk_tokens[cid]) > 0
+    with pytest.raises(AssertionError, match="live endpoint"):
+        store._retire(cid)
+
+
+def test_debug_walk_flushes_many_touched_keys(monkeypatch):
+    g = gen_regular2(2048, seed=4)
+    store = store_for(g)
+    assert store.m == 4096
+    sizes = []
+    real = ChordStore._flush
+
+    def spy(self):
+        sizes.append(len(self._touched))
+        real(self)
+
+    monkeypatch.setattr(ChordStore, "_flush", spy)
+    _, stats = run_walk(store, 200, SplitMix64(6), debug_graph=g)
+    assert stats.validations == 200
+    assert stats.self_loops < 200
+    assert max(sizes) >= 100
 
 
 def test_two_loop_store():
