@@ -23,27 +23,28 @@ def bench_rung(
     """Time ``steps`` calls of the real step function on a random 2-in/2-out
     graph with m arcs.
 
-    ``impl`` picks ``step_fast`` on a ChordStore (chunk size ``b_override``)
-    or ``step_naive`` on a WalkState.  Warmup steps, by default max(30, m/200)
-    for the store and 10 for the scan, mix the state to steady state first.
-    With ``validate`` the store is recomputed from scratch after the run.
+    ``impl`` picks ``step_fast`` on a ChordStore (chunk size ``b_override``),
+    ``step_fast`` on a one-chunk ChordStore (``"flat"``) or ``step_naive`` on a
+    WalkState.  Warmup steps, by default max(30, m/200) for a store and 10
+    for the scan, mix the state to steady state first.  With ``validate`` the
+    store is recomputed from scratch after the run.
     """
     if m % 2:
         raise ValueError("m must be even (two arcs per vertex)")
-    if impl not in ("fast", "naive"):
-        raise ValueError("impl must be 'fast' or 'naive'")
+    if impl not in ("fast", "flat", "naive"):
+        raise ValueError("impl must be 'fast', 'flat' or 'naive'")
     g = gen_regular2(m // 2, seed)
     tour = hierholzer_tour(g)
     t0 = time.perf_counter()
-    if impl == "fast":
-        walker = ChordStore(tour.arcs, g.heads, chunk_size=b_override)
-        step, b = step_fast, walker.b
-    else:
+    if impl == "naive":
         walker = WalkState(g, tour)
         step, b = step_naive, 0
+    else:
+        walker = ChordStore(tour.arcs, g.heads, chunk_size=m if impl == "flat" else b_override)
+        step, b = step_fast, walker.b
     build_s = time.perf_counter() - t0
     if warmup is None:
-        warmup = max(30, m // 200) if impl == "fast" else 10
+        warmup = 10 if impl == "naive" else max(30, m // 200)
     rng = SplitMix64(seed + 1)
     for _ in range(min(steps, warmup)):
         step(walker, rng)
@@ -51,7 +52,7 @@ def bench_rung(
     for _ in range(steps):
         step(walker, rng)
     total_ns = time.perf_counter_ns() - t_all
-    if validate and impl == "fast":
+    if validate and impl != "naive":
         ok, msg = walker.validate()
         if not ok:
             raise AssertionError(f"store validator failed after bench: {msg}")

@@ -1,7 +1,18 @@
-"""Chunked dynamic representation of a degree-two tour for fast repairs.
+"""Dynamic representation of a degree-two tour for fast repairs.
 
-The tour's M occurrences are kept in chunks of size between B/2 and 2B (with
-B near sqrt(M)), and a plain list of chunk identifiers holds their cyclic
+The store keeps the tour's M occurrences in chunks of size between B/2 and 2B
+(with B near sqrt(M) by default).  A chunk size of at least M leaves one
+chunk, kept as flat arrays: the token at each position, the position of each
+token, and each token's owner vertex and arc.  Its crossing query counts the
+owners of the tokens on the shorter side of the queried chord in one
+vectorized pass (a vertex seen once there crosses), and its four-cut update
+rewrites the token array over (p1, p4] and re-indexes those positions.  Both
+are O(M) numpy work with O(1) Python work, which beats the chunked layout
+below at every M the sampler walks (see ``sampler.FLAT_MAX_M``).  All of its
+crossings are explicit and sorted by vertex id, so its repair draw picks the
+same vertex as ``walk.step_naive``.
+
+With several chunks, a plain list of chunk identifiers holds their cyclic
 order.  Pair lists keyed by unordered chunk pairs hold the chords; they are
 the record.  A count matrix indexed by the chunk-identifier pool holds, at
 entry (C, D), the number of chords with one endpoint in chunk C and the
@@ -48,7 +59,7 @@ class CrossingQueryResult:
     vf_masked: np.ndarray  # class-A counts per outside chunk id below id_limit
     f_chunk_ids: list[int]  # full inside chunks, in cyclic rank order
     boundary: tuple[int, ...]
-    class_b: list[int]
+    class_b: list[int] | np.ndarray  # a sorted array in a one-chunk store
     generation: int
 
     @property
@@ -56,15 +67,21 @@ class CrossingQueryResult:
         return self.w_a + self.w_b
 
 
+_NO_COUNTS = np.zeros(0, dtype=np.int32)  # class-A counts of a one-chunk store
+_NO_COUNTS.flags.writeable = False
+
+
 class ChordStore:
-    """Chunks in a flat cyclic order, pair lists and chunk-pair chord counts."""
+    """One flat chunk, or chunks in a cyclic order with pair lists and
+    chunk-pair chord counts."""
 
     def __init__(self, arcs, heads, chunk_size: int | None = None) -> None:
         """Store the tour ``arcs``; position p belongs to vertex heads[arcs[p]].
 
         ``heads`` maps every arc to its head vertex (a graph's ``heads``
         array); each vertex must own exactly two positions.  ``chunk_size``
-        overrides B = ceil(sqrt(M)).
+        overrides B = ceil(sqrt(M)); at M or more the store is one flat chunk
+        (``flat`` is true).
         """
         arcs = [int(a) for a in arcs]
         m = len(arcs)
@@ -81,10 +98,30 @@ class ChordStore:
         self.b = int(chunk_size) if chunk_size else math.isqrt(m - 1) + 1
         if self.b < 1:
             raise ValueError("chunk size must be at least 1")
-        self.pool = 4 * ((m + self.b - 1) // self.b) + 8
 
+        vert_tok: dict[int, list[int]] = {}
+        for t, v in enumerate(owners):
+            vert_tok.setdefault(v, []).append(t)
+        self.vert_tok = {v: (ts[0], ts[1]) for v, ts in vert_tok.items()}
+        self.vertices = sorted(self.vert_tok)
+        self.generation = 0
+
+        # One chunk covering the tour: token tables as arrays, scanned whole.
+        self.flat = self.b >= m
+        if self.flat:
+            self.occ_arc = np.array(arcs, dtype=np.intp)
+            self.occ_owner = np.array(owners, dtype=np.intp)
+            self.tok = np.arange(m, dtype=np.intp)  # the token at each position
+            self.pos = np.arange(m, dtype=np.intp)  # the position of each token
+            return
+
+        self.pool = 4 * ((m + self.b - 1) // self.b) + 8
         self.occ_arc = arcs
         self.occ_owner = owners
+        self.partner = [0] * m  # the other token of the same vertex
+        for t1, t2 in self.vert_tok.values():
+            self.partner[t1] = t2
+            self.partner[t2] = t1
         self.occ_chunk = [0] * m
         self.occ_off = [0] * m
 
@@ -106,21 +143,11 @@ class ChordStore:
         # the only ones ever used: count-matrix rows are zero beyond it.
         self.id_limit = 0
 
-        vert_tok: dict[int, list[int]] = {}
-        for t, v in enumerate(owners):
-            vert_tok.setdefault(v, []).append(t)
-        self.vert_tok = {v: (ts[0], ts[1]) for v, ts in vert_tok.items()}
-        self.vertices = sorted(self.vert_tok)
         # pair lists keyed by c * pool + d for the chunk pair c <= d
         self.pairs: dict[int, list[int]] = {}
         # per vertex: the key of its pair list and its slot in that list
         self.vert_key = [-1] * (max(owners) + 1)
         self.vert_idx = [-1] * (max(owners) + 1)
-        self.partner = [0] * m  # the other token of the same vertex
-        for t1, t2 in self.vert_tok.values():
-            self.partner[t1] = t2
-            self.partner[t2] = t1
-        self.generation = 0
 
         # the authoritative chunk order, and rank and start-position caches
         # that are valid between tour updates
@@ -243,9 +270,13 @@ class ChordStore:
     # -- positions -------------------------------------------------------------------
 
     def token_position(self, tok: int) -> int:
+        if self.flat:
+            return self.pos.item(tok)
         return self.pos_base[self.occ_chunk[tok]] + self.occ_off[tok]
 
     def tour(self) -> Tour:
+        if self.flat:
+            return Tour.canonical(self.occ_arc[self.tok].tolist())
         seq = []
         for c in self.order:
             seq.extend(self.occ_arc[t] for t in self.chunk_tokens[c])
@@ -261,6 +292,8 @@ class ChordStore:
         if p1 > p2:
             p1, p2 = p2, p1
             t1, t2 = t2, t1
+        if self.flat:
+            return self._flat_query(x, p1, p2)
         ca, cb = self.occ_chunk[t1], self.occ_chunk[t2]
         ra, rb = self.rank_of[ca], self.rank_of[cb]
         boundary = (ca,) if ca == cb else (ca, cb)
@@ -284,17 +317,22 @@ class ChordStore:
 
         # Boundary tokens are scanned in position order, and each crossing
         # chord is listed at its first endpoint: a partner in a boundary
-        # chunk at a smaller position means the chord was seen already.
+        # chunk at a smaller position means the chord was seen already.  A
+        # partner in any other chunk is inside exactly when its chunk ranks
+        # strictly between the boundary chunks.
         class_b: list[int] = []
         occ_chunk, occ_off, pos_base = self.occ_chunk, self.occ_off, self.pos_base
-        partner, occ_owner = self.partner, self.occ_owner
+        partner, occ_owner, rank_of = self.partner, self.occ_owner, self.rank_of
         for c in boundary:
             q = pos_base[c]
             for tok in self.chunk_tokens[c]:
                 u = partner[tok]
                 cu = occ_chunk[u]
-                qu = pos_base[cu] + occ_off[u]
-                if (p1 < q < p2) != (p1 < qu < p2) and not (qu < q and cu in boundary):
+                if cu == ca or cu == cb:
+                    qu = pos_base[cu] + occ_off[u]
+                    if qu > q and (p1 < q < p2) != (p1 < qu < p2):
+                        class_b.append(occ_owner[tok])
+                elif (p1 < q < p2) != (ra < rank_of[cu] < rb):
                     class_b.append(occ_owner[tok])
                 q += 1
         return CrossingQueryResult(
@@ -310,10 +348,39 @@ class ChordStore:
             generation=self.generation,
         )
 
+    def _flat_query(self, x: int, p1: int, p2: int) -> CrossingQueryResult:
+        """Count the owners of the tokens on the shorter side of the chord
+        at positions p1 < p2.
+
+        A vertex seen once there has one endpoint on each side, so it
+        crosses; the counts are indexed by vertex, so the crossings come out
+        in ascending vertex-id order.  All of them are class B.
+        """
+        tok = self.tok
+        if 2 * (p2 - p1) <= self.m:
+            side = tok[p1 + 1 : p2]
+        else:
+            side = np.concatenate((tok[:p1], tok[p2 + 1 :]))
+        class_b = np.flatnonzero(np.bincount(self.occ_owner[side]) == 1)
+        return CrossingQueryResult(
+            x=x,
+            pa=p1,
+            pb=p2,
+            w_a=0,
+            w_b=len(class_b),
+            vf_masked=_NO_COUNTS,
+            f_chunk_ids=[],
+            boundary=(),
+            class_b=class_b,
+            generation=self.generation,
+        )
+
     def crossing_vertices(self, res: CrossingQueryResult) -> list[int]:
         """Materialize the full crossing set (testing and mirrored selection)."""
         if res.generation != self.generation:
             raise ValueError("stale crossing query result")
+        if self.flat:
+            return res.class_b.tolist()
         ids = list(res.class_b)
         for d in np.flatnonzero(res.vf_masked):
             d = int(d)
@@ -353,7 +420,7 @@ class ChordStore:
                     return lst[within]
                 within -= len(lst)
             raise AssertionError("class-A counts disagree with pair lists")
-        return res.class_b[k - res.w_a]
+        return int(res.class_b[k - res.w_a])
 
     # -- four-cut update ------------------------------------------------------------------
 
@@ -366,6 +433,9 @@ class ChordStore:
         """
         if x == y:
             raise ValueError("four-cut needs two distinct crossing chords")
+        if self.flat:
+            self._flat_four_cut(x, y)
+            return
         toks = list(self.vert_tok[x]) + list(self.vert_tok[y])
         pts = sorted((self.token_position(t), t) for t in toks)
         owners = [self.occ_owner[t] for _, t in pts]
@@ -387,6 +457,22 @@ class ChordStore:
         self._repair_sizes(candidates)
         self._refresh_order()
         self._flush()
+        self.generation += 1
+
+    def _flat_four_cut(self, x: int, y: int) -> None:
+        """Rearrange the token array over (p1, p4] and re-index its positions."""
+        pos, tok = self.pos, self.tok
+        t1, t2 = self.vert_tok[x]
+        a1, a2 = sorted((pos.item(t1), pos.item(t2)))
+        t1, t2 = self.vert_tok[y]
+        b1, b2 = pos.item(t1), pos.item(t2)
+        if (a1 < b1 < a2) == (a1 < b2 < a2):
+            raise ValueError(f"chords {x} and {y} do not cross in the current tour")
+        p1, p2, p3, p4 = sorted((a1, a2, b1, b2))
+        tok[p1 + 1 : p4 + 1] = np.concatenate(
+            (tok[p3 + 1 : p4 + 1], tok[p2 + 1 : p3 + 1], tok[p1 + 1 : p2 + 1])
+        )
+        pos[tok[p1 + 1 : p4 + 1]] = np.arange(p1 + 1, p4 + 1)
         self.generation += 1
 
     def _ensure_boundary_after(self, tok: int) -> list[int]:
@@ -521,6 +607,8 @@ class ChordStore:
 
     def validate(self) -> tuple[bool, str]:
         """Recompute everything from the flat tour; exact equality required."""
+        if self.flat:
+            return self._validate_flat()
         seen_tokens = []
         for c in self.order:
             toks = self.chunk_tokens[c]
@@ -573,4 +661,18 @@ class ChordStore:
             if self.rank_of[c] != r or self.pos_base[c] != run:
                 return False, f"order cache stale at chunk {c}"
             run += len(self.chunk_tokens[c])
+        return True, ""
+
+    def _validate_flat(self) -> tuple[bool, str]:
+        every = np.arange(self.m)
+        if not np.array_equal(np.sort(self.tok), every):
+            return False, "token array is not a permutation"
+        if not np.array_equal(self.pos[self.tok], every):
+            return False, "stale token position"
+        pairs = np.array(list(self.vert_tok.values()), dtype=np.intp)
+        if not np.array_equal(np.sort(pairs, axis=None), every):
+            return False, "vertex token pairs do not partition the tokens"
+        vs = np.array(list(self.vert_tok), dtype=np.intp)
+        if not np.array_equal(self.occ_owner[pairs], np.stack((vs, vs), axis=1)):
+            return False, "owner table disagrees with the vertex token pairs"
         return True, ""

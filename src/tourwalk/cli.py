@@ -312,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--m-ladder", default="360,10000,40000,160000")
     pb.add_argument("--steps", type=int, default=300)
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--impl", default="fast", help="comma list of fast,naive")
+    pb.add_argument("--impl", default="fast", help="comma list of fast,flat,naive")
     pb.add_argument("--b-override", type=int, default=None)
     pb.add_argument(
         "--validate-store",
         action="store_true",
-        help="run the debug validator after each fast rung",
+        help="run the debug validator after each store rung",
     )
     pb.add_argument("--out")
     pb.add_argument("--manifest")

@@ -11,7 +11,9 @@ vertex draw and one uniform real.  ``step_naive`` scans the whole tour;
 mirrored mode the fast step resolves the uniform real against the same
 vertex-id-sorted candidate list as the naive step, which makes paired
 trajectories identical; in its default mode it uses the store's two-stage
-class draw, which has the same distribution at sublinear cost.  The naive
+class draw, which has the same distribution at sublinear cost.  On a
+one-chunk store every crossing is explicit and sorted by vertex id, so the
+two modes, and the naive step, pick the same vertex.  The naive
 step keeps its tour in a WalkState; the fast step keeps it in the ChordStore
 alone.
 """
@@ -155,6 +157,7 @@ class WalkStats:
     crossing_sum: int = 0
     seconds: float = 0.0
     validations: int = 0
+    store: str | None = None  # "flat" (one chunk) or "chunks"; None if no walk ran
 
     @property
     def self_loop_fraction(self) -> float:
@@ -182,7 +185,7 @@ def run_walk(
     debug = debug_graph is not None
     if debug:
         store.tour().validate_in(debug_graph)
-    stats = WalkStats()
+    stats = WalkStats(store="flat" if store.flat else "chunks")
     t0 = time.perf_counter()
     next_check = 1
     for i in range(1, steps + 1):

@@ -50,7 +50,7 @@ REPORT_PATH = os.path.join(os.path.dirname(__file__), "..", "acceptance_report.t
 _FULL = os.environ.get("TOURWALK_ACCEPT_FULL") == "1"
 RUNS_A = int(os.environ.get("TOURWALK_ACCEPT_RUNS_A", "100000" if _FULL else "20000"))
 RUNS_B = int(os.environ.get("TOURWALK_ACCEPT_RUNS_B", "100000" if _FULL else "12000"))
-RUNS_C = int(os.environ.get("TOURWALK_ACCEPT_RUNS_C", "6"))
+RUNS_C = int(os.environ.get("TOURWALK_ACCEPT_RUNS_C", "100"))
 QUOTED_RUNS = 100_000
 QUOTED_BUDGET_S = 30 * 60
 

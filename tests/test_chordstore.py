@@ -25,8 +25,8 @@ def test_build_m4_b2_two_chunks():
 
 def test_build_degenerate_single_chunk():
     g = double_pair()
-    store = store_for(g, chunk_size=16)  # M=4 < B/2
-    assert len(store.order) == 1
+    store = store_for(g, chunk_size=16)  # M=4 < B: one flat chunk
+    assert store.flat and store.tok.tolist() == [0, 1, 2, 3]
     res = store.crossing_query(0)
     assert res.w_total == 1 and store.crossing_vertices(res) == [1]
     store.apply_four_cut(0, 1)
@@ -220,6 +220,49 @@ def test_validator_fault_injection():
         fault(-1)
         assert not ok and words in msg, msg
         assert store.validate() == (True, "")
+
+
+def test_flat_validator_fault_injection():
+    g = gen_regular2(64, seed=2)
+    store = store_for(g, chunk_size=g.m)
+    run_walk(store, 50, SplitMix64(4))
+    assert store.flat and store.validate() == (True, "")
+    tok, pos = store.tok, store.pos
+    u, v = store.vertices[:2]
+    pair_u, pair_v = store.vert_tok[u], store.vert_tok[v]
+    first = int(tok[0])
+
+    def duplicate_token(on):
+        tok[0] = tok[1] if on else first
+
+    def stale_position(on):
+        pos[first] += 1 if on else -1
+
+    def wrong_partner(on):
+        store.vert_tok[u] = (pair_u[0], pair_v[1]) if on else pair_u
+        store.vert_tok[v] = (pair_v[0], pair_u[1]) if on else pair_v
+
+    for fault, words in (
+        (duplicate_token, "not a permutation"),
+        (stale_position, "stale token position"),
+        (wrong_partner, "owner table disagrees"),
+    ):
+        fault(True)
+        ok, msg = store.validate()
+        fault(False)
+        assert not ok and words in msg, msg
+        assert store.validate() == (True, "")
+
+
+def test_flat_four_cut_rejects_non_crossing():
+    g, tour = graph_from_diagram(diagram_from_pairs({0: (0, 3), 1: (1, 2)}))
+    store = store_for(g, tour, chunk_size=g.m)
+    assert store.flat
+    with pytest.raises(ValueError, match="do not cross"):
+        store.apply_four_cut(0, 1)
+    with pytest.raises(ValueError):
+        store.apply_four_cut(0, 0)
+    assert store.validate() == (True, "") and store.tour() == tour
 
 
 def test_retire_rejects_identifier_with_endpoints():

@@ -56,6 +56,7 @@ def test_sample_manifest_carries_walk_block(triangle, tmp_path):
     assert 0.0 <= walk["self_loop_fraction"] <= 1.0
     assert walk["mean_crossings"] >= 0.0
     assert walk["validations"] >= 1
+    assert walk["store"] == "flat"
     assert "fallback" not in results
 
 
@@ -206,15 +207,18 @@ def test_bench_small_ladder(tmp_path):
             "--seed",
             "1",
             "--impl",
-            "fast,naive",
+            "fast,flat,naive",
+            "--validate-store",
             "--out",
             str(out),
         ]
     )
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 5  # header + 2 impls x 2 sizes
-    assert lines[1].startswith("fast,64")
+    assert len(lines) == 7  # header + 3 impls x 2 sizes
+    assert lines[1].startswith("fast,64,")
+    assert lines[3].startswith("flat,64,64,")  # one chunk: B = M
+    assert lines[5].startswith("naive,64,0,")
 
 
 def test_b_override_sweep_runs(tmp_path):

@@ -123,9 +123,24 @@ def test_report_json_roundtrip():
     assert 0.0 <= walk["self_loop_fraction"] <= 1.0
     assert walk["mean_crossings"] >= 0.0
     assert walk["validations"] >= 1
+    assert walk["store"] == "flat"
     assert walk == {
         "steps": rep.walk.steps,
         "self_loop_fraction": rep.walk.self_loop_fraction,
         "mean_crossings": rep.walk.mean_crossings,
         "validations": rep.walk.validations,
+        "store": rep.walk.store,
     }
+
+
+def test_store_kind_follows_flat_max_m(monkeypatch):
+    from tourwalk import sampler
+
+    g = bidirected_triangle()
+    cfg = SampleConfig(eps=0.2, seed=0)
+    assert sample_tour(g, cfg).walk.store == "flat"
+    monkeypatch.setattr(sampler, "FLAT_MAX_M", g.m - 1)
+    rep = sample_tour(g, cfg)
+    assert rep.walk.store == "chunks"
+    assert rep.tour in enumerate_tours(g).index()
+    assert sample_tour(two_loops(), cfg).walk.store is None

@@ -108,6 +108,42 @@ def test_paired_trajectories_identical():
     assert store.validate() == (True, "")
 
 
+@pytest.mark.parametrize(
+    "graph, steps",
+    [(double_pair, 2000), (bidirected_triangle, 2000),
+     (lambda: gen_regular2(180, seed=6), 2000), (lambda: gen_regular2(512, seed=11), 1000)],
+    ids=["M4", "M6", "M360", "M1024"],
+)
+def test_flat_store_default_draw_matches_step_naive(graph, steps):
+    """A one-chunk store lists every crossing in vertex-id order, so even the
+    default (not mirrored) repair draw follows step_naive step for step."""
+    g = graph()
+    tour = hierholzer_tour(g)
+    state = WalkState(g, tour)
+    store = ChordStore(tour.arcs, g.heads, chunk_size=g.m)
+    assert store.flat
+    r1, r2 = SplitMix64(91), SplitMix64(91)
+    accepted = 0
+    for i in range(steps):
+        o1 = step_naive(state, r1)
+        o2 = step_fast(store, r2)
+        assert (o1.x, o1.y, o1.crossings) == (o2.x, o2.y, o2.crossings), i
+        accepted += not o1.self_loop
+    assert accepted > steps // 4
+    assert state.tour() == store.tour()
+    assert store.validate() == (True, "")
+
+
+def test_flat_store_debug_walk_validates_every_step():
+    g = gen_regular2(180, seed=4)
+    store = ChordStore(hierholzer_tour(g).arcs, g.heads, chunk_size=g.m)
+    out, stats = run_walk(store, 300, SplitMix64(3), debug_graph=g)
+    assert stats.store == "flat"
+    assert stats.validations == 300
+    assert stats.self_loops < 300
+    out.validate_in(g)
+
+
 def test_one_step_distribution_equality_exhaustive():
     """Candidate sets and their uniform law agree between implementations on
     every tour of every small graph."""
