@@ -3,11 +3,12 @@
 The sampler walks both pinned graphs on a one-chunk store, which draws
 exactly as ``step_naive`` does; ``test_pinned_walks_replay_step_naive``
 derives the same figures from a ``WalkState`` walk on the sampler's random
-stream and start tour.  The debug-walk figures come from the chunked store,
-as first produced on a randomized sequence tree before its replacement by a
-flat chunk order: chunk identifier allocation, pair-list order and the
-class-A draw decide which tour a seed gives there, so a change to any of
-them shows up here first.
+stream and start tour.  The debug-walk figures, and the gadget figures of a
+sampler held to the chunked store (as for tours above ``FLAT_MAX_M``), come
+from the chunked store, as first produced on a randomized sequence tree
+before its replacement by a flat chunk order: chunk identifier allocation,
+pair-list order and the class-A draw decide which tour a seed gives there,
+so a change to any of them shows up here first.
 """
 
 import hashlib
@@ -73,8 +74,32 @@ REGULAR2_DIGEST = "42d1d72e4bf1ed761ead76a0c33f85018f66fccb7450b41b0aff54156fa61
 REGULAR2_STATS = (0, 337065)
 
 
+@pytest.mark.parametrize(
+    "seed, tour, walk_digest, self_loops, crossing_sum",
+    [
+        (1, [0, 4, 1, 3, 5, 2],
+         "7573cbc2ad9f531da9360f78809ebb23cb3b878ea8c6a3cbf574fd0e5d2ca560", 30, 475894),
+        (2, [0, 4, 2, 1, 3, 5],
+         "6ff6e3d5a639283ef9c9c7fa573436e90bb316db23ef81db86960df09f0488a7", 17, 474813),
+        (3, [0, 4, 2, 1, 3, 5],
+         "f2b48995564ddaca3a9f27eb185b03683f55363eaa5d1185c135ec52ff54d1a4", 32, 475077),
+    ],
+)
+def test_pinned_gadget_6c(walk_outputs, monkeypatch, seed, tour, walk_digest, self_loops,
+                          crossing_sum):
+    """The sampler on the chunked store (default sqrt(M) chunks)."""
+    monkeypatch.setattr(sampler_mod, "FLAT_MAX_M", 0)
+    rep = sample_tour(GADGET_6C, SampleConfig(eps=0.1, seed=seed, c_mix=0.2))
+    assert (rep.steps, rep.expanded_arcs) == (3984, 360)
+    assert list(rep.tour.arcs) == tour
+    (star_tour, stats), = walk_outputs
+    assert digest(star_tour.arcs) == walk_digest
+    assert (stats.self_loops, stats.crossing_sum) == (self_loops, crossing_sum)
+    assert stats.store == "chunks"
+
+
 @pytest.mark.parametrize("seed, tour, walk_digest, self_loops, crossing_sum", GADGET_PINS)
-def test_pinned_gadget_6c(walk_outputs, seed, tour, walk_digest, self_loops, crossing_sum):
+def test_pinned_gadget_6c_flat(walk_outputs, seed, tour, walk_digest, self_loops, crossing_sum):
     rep = sample_tour(GADGET_6C, SampleConfig(eps=0.1, seed=seed, c_mix=0.2))
     assert (rep.steps, rep.expanded_arcs) == (3984, 360)
     assert list(rep.tour.arcs) == tour
