@@ -8,7 +8,8 @@ owners of the tokens on the shorter side of the queried chord in one
 vectorized pass (a vertex seen once there crosses), and its four-cut update
 rewrites the token array over (p1, p4] and re-indexes those positions.  Both
 are O(M) numpy work with O(1) Python work, which beats the chunked layout
-below at every M the sampler walks (see ``sampler.FLAT_MAX_M``).  All of its
+below up to a measured crossover of a few million arcs (see
+``sampler.FLAT_MAX_M``).  All of its
 crossings are explicit and sorted by vertex id, so its repair draw picks the
 same vertex as ``walk.step_naive``.
 
@@ -317,22 +318,17 @@ class ChordStore:
 
         # Boundary tokens are scanned in position order, and each crossing
         # chord is listed at its first endpoint: a partner in a boundary
-        # chunk at a smaller position means the chord was seen already.  A
-        # partner in any other chunk is inside exactly when its chunk ranks
-        # strictly between the boundary chunks.
+        # chunk at a smaller position means the chord was seen already.
         class_b: list[int] = []
         occ_chunk, occ_off, pos_base = self.occ_chunk, self.occ_off, self.pos_base
-        partner, occ_owner, rank_of = self.partner, self.occ_owner, self.rank_of
+        partner, occ_owner = self.partner, self.occ_owner
         for c in boundary:
             q = pos_base[c]
             for tok in self.chunk_tokens[c]:
                 u = partner[tok]
                 cu = occ_chunk[u]
-                if cu == ca or cu == cb:
-                    qu = pos_base[cu] + occ_off[u]
-                    if qu > q and (p1 < q < p2) != (p1 < qu < p2):
-                        class_b.append(occ_owner[tok])
-                elif (p1 < q < p2) != (ra < rank_of[cu] < rb):
+                qu = pos_base[cu] + occ_off[u]
+                if (p1 < q < p2) != (p1 < qu < p2) and not (qu < q and cu in boundary):
                     class_b.append(occ_owner[tok])
                 q += 1
         return CrossingQueryResult(

@@ -27,10 +27,13 @@ from .walk import WalkStats, mixing_steps, run_walk
 
 # Up to this many arcs the walk keeps the tour in one chunk, scanned whole
 # each step: O(M) numpy work and O(1) Python work, against O(sqrt(M)) Python
-# work per step in the chunked store.  Measured with ``tourwalk bench --impl
-# flat,fast`` on 2 vCPU, the one-chunk step was 9x faster at M = 360 and
-# still 2.6x faster at 640k, so the chunked store only serves larger tours.
-FLAT_MAX_M = 2**18
+# work per step in the chunked store.  This is the measured crossover: with
+# ``tourwalk bench --impl flat,fast --steps 100`` on 2 vCPU (ms per step,
+# flat/chunked) the one-chunk step led at M = 360 (0.015/0.127), 640k
+# (2.6/6.7) and 2^21 (12.8/16.8), was level to ahead at 2,621,440
+# (15.6/20.0, 17.1/17.1) and behind from 3,145,728 (20.7/19.2, 23.8/21.5)
+# and 2^22 (30.7/25.7) on.
+FLAT_MAX_M = 2_621_440
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,16 @@ def test_build_m4_b2_two_chunks():
 
 def test_build_degenerate_single_chunk():
     g = double_pair()
+    store = store_for(g, chunk_size=3)  # M=4: the remainder merges back
+    assert not store.flat and len(store.order) == 1
+    res = store.crossing_query(0)
+    assert res.w_total == 1 and store.crossing_vertices(res) == [1]
+    store.apply_four_cut(0, 1)
+    assert store.validate() == (True, "")
+
+
+def test_build_flat_single_chunk():
+    g = double_pair()
     store = store_for(g, chunk_size=16)  # M=4 < B: one flat chunk
     assert store.flat and store.tok.tolist() == [0, 1, 2, 3]
     res = store.crossing_query(0)
