@@ -1,4 +1,5 @@
-"""The sqrt-decomposition store answers crossing queries without scanning.
+"""``ChunkedStore``, the sqrt-decomposition store, answers crossing queries
+without scanning.
 
 A flip-repair step needs the set of chords crossing a queried chord.  The
 store keeps the tour in chunks of about sqrt(M) positions, listed in tour
@@ -7,12 +8,12 @@ chunk pair, so the crossing count splits into an aggregate class (one
 vectorized sum of count-matrix rows) and a boundary class (a short explicit
 scan).  Updates splice three segments of the chunk list and rebuild O(1)
 chunks.  Every answer here is exact; the naive scan confirms it.  The
-sampler itself walks smaller tours on a one-chunk store of flat arrays,
-whose vectorized scan is faster still at these sizes.
+sampler itself walks tours up to ``FLAT_MAX_M`` arcs on a ``ChordStore`` of
+flat arrays, whose vectorized scan is faster still at these sizes.
 """
 
 from tourwalk.bench import bench_rung
-from tourwalk.chordstore import ChordStore
+from tourwalk.chordstore import ChunkedStore
 from tourwalk.generators import gen_regular2
 from tourwalk.multigraph import hierholzer_tour
 from tourwalk.rng import SplitMix64
@@ -21,13 +22,13 @@ from tourwalk.walk import WalkState, step_fast, step_naive
 print("== build and query ==")
 g = gen_regular2(256, seed=1)  # M = 512
 tour = hierholzer_tour(g)
-store = ChordStore(tour.arcs, g.heads)
+store = ChunkedStore(tour.arcs, g.heads)
 state = WalkState(g, tour)
 print(f"M = {store.m}, chunk size B = {store.b}, chunks = {len(store.order)}")
 
 x = store.vertices[17]
 res = store.crossing_query(x)
-print(f"query chord {x}: {res.w_a} aggregate + {res.w_b} boundary crossings")
+print(f"query chord {x}: {res.w_a} aggregate + {len(res.class_b)} boundary crossings")
 print("naive scan agrees:", state.crossing_vertices(x) == store.crossing_vertices(res))
 
 print("\n== paired walks stay identical on shared randomness ==")

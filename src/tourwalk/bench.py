@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from .chordstore import ChordStore
+from .chordstore import ChordStore, ChunkedStore
 from .generators import gen_regular2
 from .multigraph import hierholzer_tour
 from .rng import SplitMix64
@@ -23,11 +23,11 @@ def bench_rung(
     """Time ``steps`` calls of the real step function on a random 2-in/2-out
     graph with m arcs.
 
-    ``impl`` picks ``step_fast`` on a ChordStore (chunk size ``b_override``),
-    ``step_fast`` on a one-chunk ChordStore (``"flat"``) or ``step_naive`` on a
-    WalkState.  Warmup steps, by default max(30, m/200) for a store and 10
-    for the scan, mix the state to steady state first.  With ``validate`` the
-    store is recomputed from scratch after the run.
+    ``impl`` picks ``step_fast`` on a ChunkedStore (chunk size ``b_override``),
+    ``step_fast`` on a ChordStore (``"flat"``, reported as B = M) or
+    ``step_naive`` on a WalkState.  Warmup steps, by default max(30, m/200)
+    for a store and 10 for the scan, mix the state to steady state first.
+    With ``validate`` the store is recomputed from scratch after the run.
     """
     if m % 2:
         raise ValueError("m must be even (two arcs per vertex)")
@@ -39,8 +39,10 @@ def bench_rung(
     if impl == "naive":
         walker = WalkState(g, tour)
         step, b = step_naive, 0
+    elif impl == "flat":
+        walker, step, b = ChordStore(tour.arcs, g.heads), step_fast, m
     else:
-        walker = ChordStore(tour.arcs, g.heads, chunk_size=m if impl == "flat" else b_override)
+        walker = ChunkedStore(tour.arcs, g.heads, chunk_size=b_override)
         step, b = step_fast, walker.b
     build_s = time.perf_counter() - t0
     if warmup is None:

@@ -1,40 +1,8 @@
-"""Dynamic representation of a degree-two tour for fast repairs.
+"""Stores of a degree-two tour for the walk's crossing queries and four-cuts.
 
-The store keeps the tour's M occurrences in chunks of size between B/2 and 2B
-(with B near sqrt(M) by default).  A chunk size of at least M leaves one
-chunk, kept as flat arrays: the token at each position, the position of each
-token, and each token's owner vertex and arc.  Its crossing query counts the
-owners of the tokens on the shorter side of the queried chord in one
-vectorized pass (a vertex seen once there crosses), and its four-cut update
-rewrites the token array over (p1, p4] and re-indexes those positions.  Both
-are O(M) numpy work with O(1) Python work, which beats the chunked layout
-below up to a measured crossover of a few million arcs (see
-``sampler.FLAT_MAX_M``).  All of its
-crossings are explicit and sorted by vertex id, so its repair draw picks the
-same vertex as ``walk.step_naive``.
-
-With several chunks, a plain list of chunk identifiers holds their cyclic
-order.  Pair lists keyed by unordered chunk pairs hold the chords; they are
-the record.  A count matrix indexed by the chunk-identifier pool holds, at
-entry (C, D), the number of chords with one endpoint in chunk C and the
-other in chunk D: the length of the pair list (C, D), counted twice on the
-diagonal.  It is a cache, written back once per four-cut for the pairs whose
-lists changed.
-
-A crossing query sums the matrix rows of the chunks strictly inside the
-queried chord, or subtracts the rows of the other chunks from the column
-totals when they are fewer, and scans the two boundary chunks explicitly.  A
-four-cut update splits at most four chunks, splices the order list, rebuilds
-undersized neighbourhoods and moves the chords of every changed chunk to
-their new pair lists.  One walk step is O(sqrt(M)) Python-level
-work plus one vectorized reduction over at most half of the chunk rows of the
-count matrix; it reads only the columns of identifiers in use, O(sqrt(M)) per
-row, so O(M) elements in all.
-
-Occurrences carry stable integer tokens; a token's (chunk id, offset) changes
-only when its chunk is split or rebuilt.  Chunk identifiers come from a fixed
-pool sized 4*ceil(M/B) + 8 so the count matrix never resizes; an identifier
-is recycled only after all of its endpoint contributions have been deleted.
+Both take the tour ``arcs`` and the graph's ``heads``; position p belongs to
+vertex heads[arcs[p]], and each vertex must own exactly two positions.  An
+occurrence carries a stable integer token, its position in the initial tour.
 """
 
 from __future__ import annotations
@@ -48,73 +16,177 @@ from .multigraph import Tour
 from .rng import SplitMix64
 
 
-@dataclass
-class CrossingQueryResult:
-    """Split crossing count for one chord: aggregate class plus explicit list."""
+def _vertex_tokens(arcs, heads):
+    """The arcs as ints, each position's owner, each vertex's two tokens and
+    the sorted vertices; ValueError unless every vertex owns two positions."""
+    arcs = [int(a) for a in arcs]
+    if not arcs:
+        raise ValueError("tour has no positions")
+    owners = np.asarray(heads)[arcs].tolist()
+    tokens: dict[int, list[int]] = {}
+    for t, v in enumerate(owners):
+        tokens.setdefault(v, []).append(t)
+    for v, ts in tokens.items():
+        if len(ts) != 2:
+            raise ValueError(f"vertex {v} owns {len(ts)} positions, not 2")
+    vert_tok = {v: (ts[0], ts[1]) for v, ts in tokens.items()}
+    return arcs, owners, vert_tok, sorted(vert_tok)
 
-    x: int
-    pa: int
-    pb: int
-    w_a: int
-    w_b: int
-    vf_masked: np.ndarray  # class-A counts per outside chunk id below id_limit
-    f_chunk_ids: list[int]  # full inside chunks, in cyclic rank order
-    boundary: tuple[int, ...]
-    class_b: list[int] | np.ndarray  # a sorted array in a one-chunk store
+
+@dataclass
+class FlatQueryResult:
+    """The vertices whose chords cross a queried chord, ascending by id."""
+
+    crossings: np.ndarray
     generation: int
 
     @property
     def w_total(self) -> int:
-        return self.w_a + self.w_b
-
-
-_NO_COUNTS = np.zeros(0, dtype=np.int32)  # class-A counts of a one-chunk store
-_NO_COUNTS.flags.writeable = False
+        return len(self.crossings)
 
 
 class ChordStore:
-    """One flat chunk, or chunks in a cyclic order with pair lists and
-    chunk-pair chord counts."""
+    """The tour as flat arrays, scanned whole each step.
+
+    ``tok`` holds the token at each position, ``pos`` the position of each
+    token, ``occ_owner`` and ``occ_arc`` each token's owner vertex and arc.
+    A crossing query and a four-cut are each O(M) numpy work with O(1)
+    Python work, which beats ``ChunkedStore`` up to a measured crossover of
+    a few million arcs (``sampler.FLAT_MAX_M``).  The crossings come out
+    sorted by vertex id, so the repair draw picks the same vertex as
+    ``walk.step_naive``.
+    """
+
+    kind = "flat"
+
+    def __init__(self, arcs, heads) -> None:
+        arcs, owners, self.vert_tok, self.vertices = _vertex_tokens(arcs, heads)
+        self.m = len(arcs)
+        self.occ_arc = np.array(arcs, dtype=np.intp)
+        self.occ_owner = np.array(owners, dtype=np.intp)
+        self.tok = np.arange(self.m, dtype=np.intp)
+        self.pos = np.arange(self.m, dtype=np.intp)
+        self.generation = 0
+
+    def tour(self) -> Tour:
+        return Tour.canonical(self.occ_arc[self.tok].tolist())
+
+    def crossing_query(self, x: int) -> FlatQueryResult:
+        """The owners seen once on the shorter side of x's chord: each has one
+        endpoint on each side.  Counted by vertex, so ascending by id."""
+        if x not in self.vert_tok:
+            raise ValueError(f"vertex {x} not in the store")
+        t1, t2 = self.vert_tok[x]
+        p1, p2 = self.pos.item(t1), self.pos.item(t2)
+        if p1 > p2:
+            p1, p2 = p2, p1
+        tok = self.tok
+        if 2 * (p2 - p1) <= self.m:
+            side = tok[p1 + 1 : p2]
+        else:
+            side = np.concatenate((tok[:p1], tok[p2 + 1 :]))
+        crossings = np.flatnonzero(np.bincount(self.occ_owner[side]) == 1)
+        return FlatQueryResult(crossings, self.generation)
+
+    def crossing_vertices(self, res: FlatQueryResult) -> list[int]:
+        if res.generation != self.generation:
+            raise ValueError("stale crossing query result")
+        return res.crossings.tolist()
+
+    def sample_repair(self, x: int, res: FlatQueryResult, rng: SplitMix64) -> int:
+        """x with probability 1/(W+1), else a uniform crossing vertex; one
+        uniform real picks the index as ``walk._select`` does."""
+        if res.generation != self.generation:
+            raise ValueError("stale crossing query result")
+        w = len(res.crossings)
+        k = min(int(rng.random() * (w + 1)), w)
+        return x if k == 0 else int(res.crossings[k - 1])
+
+    def apply_four_cut(self, x: int, y: int) -> None:
+        """Rewrite the token array over (p1, p4] as ``ChunkedStore`` reorders
+        its chunks, and re-index those positions."""
+        if x == y:
+            raise ValueError("four-cut needs two distinct crossing chords")
+        pos, tok = self.pos, self.tok
+        t1, t2 = self.vert_tok[x]
+        a1, a2 = sorted((pos.item(t1), pos.item(t2)))
+        t1, t2 = self.vert_tok[y]
+        b1, b2 = pos.item(t1), pos.item(t2)
+        if (a1 < b1 < a2) == (a1 < b2 < a2):
+            raise ValueError(f"chords {x} and {y} do not cross in the current tour")
+        p1, p2, p3, p4 = sorted((a1, a2, b1, b2))
+        tok[p1 + 1 : p4 + 1] = np.concatenate(
+            (tok[p3 + 1 : p4 + 1], tok[p2 + 1 : p3 + 1], tok[p1 + 1 : p2 + 1])
+        )
+        pos[tok[p1 + 1 : p4 + 1]] = np.arange(p1 + 1, p4 + 1)
+        self.generation += 1
+
+    def validate(self) -> tuple[bool, str]:
+        """Check the arrays against each other and the vertex token pairs."""
+        every = np.arange(self.m)
+        if not np.array_equal(np.sort(self.tok), every):
+            return False, "token array is not a permutation"
+        if not np.array_equal(self.pos[self.tok], every):
+            return False, "stale token position"
+        pairs = np.array(list(self.vert_tok.values()), dtype=np.intp)
+        if not np.array_equal(np.sort(pairs, axis=None), every):
+            return False, "vertex token pairs do not partition the tokens"
+        vs = np.array(list(self.vert_tok), dtype=np.intp)
+        if not np.array_equal(self.occ_owner[pairs], np.stack((vs, vs), axis=1)):
+            return False, "owner table disagrees with the vertex token pairs"
+        return True, ""
+
+
+@dataclass
+class CrossingQueryResult:
+    """Split crossing count for one chord: aggregate class plus explicit list."""
+
+    w_a: int
+    vf_masked: np.ndarray  # class-A counts per outside chunk id below id_limit
+    f_chunk_ids: list[int]  # full inside chunks, in cyclic rank order
+    class_b: list[int]
+    generation: int
+
+    @property
+    def w_total(self) -> int:
+        return self.w_a + len(self.class_b)
+
+
+class ChunkedStore:
+    """The tour in chunks of B/2 to 2B tokens (B near sqrt(M) by default),
+    in a cyclic order held by a plain list of chunk identifiers.
+
+    Pair lists keyed by unordered chunk pairs hold the chords; they are the
+    record.  A count matrix over the chunk-identifier pool caches, at entry
+    (C, D), the length of the pair list (C, D), counted twice on the
+    diagonal; it is written back once per four-cut for the pairs whose lists
+    changed.  A crossing query sums the matrix rows of the chunks strictly
+    inside the queried chord, or subtracts the rows of the other chunks from
+    the column totals when they are fewer, and scans the two boundary chunks
+    explicitly.  A four-cut splits at most four chunks, splices the order
+    list, rebuilds undersized neighbourhoods and moves the chords of every
+    changed chunk to their new pair lists.  One walk step is O(sqrt(M))
+    Python-level work plus one vectorized reduction over at most half of the
+    chunk rows, reading only the columns of identifiers in use: O(M)
+    elements in all.
+
+    A token's (chunk id, offset) changes only when its chunk is split or
+    rebuilt.  Identifiers come from a fixed pool of 4*ceil(M/B) + 8, so the
+    count matrix never resizes; one is recycled only after all of its
+    endpoint contributions have been deleted.
+    """
+
+    kind = "chunks"
 
     def __init__(self, arcs, heads, chunk_size: int | None = None) -> None:
-        """Store the tour ``arcs``; position p belongs to vertex heads[arcs[p]].
-
-        ``heads`` maps every arc to its head vertex (a graph's ``heads``
-        array); each vertex must own exactly two positions.  ``chunk_size``
-        overrides B = ceil(sqrt(M)); at M or more the store is one flat chunk
-        (``flat`` is true).
-        """
-        arcs = [int(a) for a in arcs]
-        m = len(arcs)
-        if m == 0:
-            raise ValueError("tour has no positions")
-        owners = np.asarray(heads)[arcs].tolist()
-        counts: dict[int, int] = {}
-        for v in owners:
-            counts[v] = counts.get(v, 0) + 1
-        bad = [v for v, c in counts.items() if c != 2]
-        if bad:
-            raise ValueError(f"vertex {bad[0]} owns {counts[bad[0]]} positions, not 2")
-        self.m = m
+        """``chunk_size`` overrides B = ceil(sqrt(M)); at M or more the tour is
+        one chunk."""
+        arcs, owners, self.vert_tok, self.vertices = _vertex_tokens(arcs, heads)
+        self.m = m = len(arcs)
         self.b = int(chunk_size) if chunk_size else math.isqrt(m - 1) + 1
         if self.b < 1:
             raise ValueError("chunk size must be at least 1")
-
-        vert_tok: dict[int, list[int]] = {}
-        for t, v in enumerate(owners):
-            vert_tok.setdefault(v, []).append(t)
-        self.vert_tok = {v: (ts[0], ts[1]) for v, ts in vert_tok.items()}
-        self.vertices = sorted(self.vert_tok)
         self.generation = 0
-
-        # One chunk covering the tour: token tables as arrays, scanned whole.
-        self.flat = self.b >= m
-        if self.flat:
-            self.occ_arc = np.array(arcs, dtype=np.intp)
-            self.occ_owner = np.array(owners, dtype=np.intp)
-            self.tok = np.arange(m, dtype=np.intp)  # the token at each position
-            self.pos = np.arange(m, dtype=np.intp)  # the position of each token
-            return
 
         self.pool = 4 * ((m + self.b - 1) // self.b) + 8
         self.occ_arc = arcs
@@ -271,13 +343,9 @@ class ChordStore:
     # -- positions -------------------------------------------------------------------
 
     def token_position(self, tok: int) -> int:
-        if self.flat:
-            return self.pos.item(tok)
         return self.pos_base[self.occ_chunk[tok]] + self.occ_off[tok]
 
     def tour(self) -> Tour:
-        if self.flat:
-            return Tour.canonical(self.occ_arc[self.tok].tolist())
         seq = []
         for c in self.order:
             seq.extend(self.occ_arc[t] for t in self.chunk_tokens[c])
@@ -293,8 +361,6 @@ class ChordStore:
         if p1 > p2:
             p1, p2 = p2, p1
             t1, t2 = t2, t1
-        if self.flat:
-            return self._flat_query(x, p1, p2)
         ca, cb = self.occ_chunk[t1], self.occ_chunk[t2]
         ra, rb = self.rank_of[ca], self.rank_of[cb]
         boundary = (ca,) if ca == cb else (ca, cb)
@@ -332,41 +398,9 @@ class ChordStore:
                     class_b.append(occ_owner[tok])
                 q += 1
         return CrossingQueryResult(
-            x=x,
-            pa=p1,
-            pb=p2,
             w_a=w_a,
-            w_b=len(class_b),
             vf_masked=vf,
             f_chunk_ids=f_ids,
-            boundary=boundary,
-            class_b=class_b,
-            generation=self.generation,
-        )
-
-    def _flat_query(self, x: int, p1: int, p2: int) -> CrossingQueryResult:
-        """Count the owners of the tokens on the shorter side of the chord
-        at positions p1 < p2.
-
-        A vertex seen once there has one endpoint on each side, so it
-        crosses; the counts are indexed by vertex, so the crossings come out
-        in ascending vertex-id order.  All of them are class B.
-        """
-        tok = self.tok
-        if 2 * (p2 - p1) <= self.m:
-            side = tok[p1 + 1 : p2]
-        else:
-            side = np.concatenate((tok[:p1], tok[p2 + 1 :]))
-        class_b = np.flatnonzero(np.bincount(self.occ_owner[side]) == 1)
-        return CrossingQueryResult(
-            x=x,
-            pa=p1,
-            pb=p2,
-            w_a=0,
-            w_b=len(class_b),
-            vf_masked=_NO_COUNTS,
-            f_chunk_ids=[],
-            boundary=(),
             class_b=class_b,
             generation=self.generation,
         )
@@ -375,8 +409,6 @@ class ChordStore:
         """Materialize the full crossing set (testing and mirrored selection)."""
         if res.generation != self.generation:
             raise ValueError("stale crossing query result")
-        if self.flat:
-            return res.class_b.tolist()
         ids = list(res.class_b)
         for d in np.flatnonzero(res.vf_masked):
             d = int(d)
@@ -416,7 +448,7 @@ class ChordStore:
                     return lst[within]
                 within -= len(lst)
             raise AssertionError("class-A counts disagree with pair lists")
-        return int(res.class_b[k - res.w_a])
+        return res.class_b[k - res.w_a]
 
     # -- four-cut update ------------------------------------------------------------------
 
@@ -429,9 +461,6 @@ class ChordStore:
         """
         if x == y:
             raise ValueError("four-cut needs two distinct crossing chords")
-        if self.flat:
-            self._flat_four_cut(x, y)
-            return
         toks = list(self.vert_tok[x]) + list(self.vert_tok[y])
         pts = sorted((self.token_position(t), t) for t in toks)
         owners = [self.occ_owner[t] for _, t in pts]
@@ -453,22 +482,6 @@ class ChordStore:
         self._repair_sizes(candidates)
         self._refresh_order()
         self._flush()
-        self.generation += 1
-
-    def _flat_four_cut(self, x: int, y: int) -> None:
-        """Rearrange the token array over (p1, p4] and re-index its positions."""
-        pos, tok = self.pos, self.tok
-        t1, t2 = self.vert_tok[x]
-        a1, a2 = sorted((pos.item(t1), pos.item(t2)))
-        t1, t2 = self.vert_tok[y]
-        b1, b2 = pos.item(t1), pos.item(t2)
-        if (a1 < b1 < a2) == (a1 < b2 < a2):
-            raise ValueError(f"chords {x} and {y} do not cross in the current tour")
-        p1, p2, p3, p4 = sorted((a1, a2, b1, b2))
-        tok[p1 + 1 : p4 + 1] = np.concatenate(
-            (tok[p3 + 1 : p4 + 1], tok[p2 + 1 : p3 + 1], tok[p1 + 1 : p2 + 1])
-        )
-        pos[tok[p1 + 1 : p4 + 1]] = np.arange(p1 + 1, p4 + 1)
         self.generation += 1
 
     def _ensure_boundary_after(self, tok: int) -> list[int]:
@@ -602,9 +615,7 @@ class ChordStore:
     # -- validation -------------------------------------------------------------------------
 
     def validate(self) -> tuple[bool, str]:
-        """Recompute everything from the flat tour; exact equality required."""
-        if self.flat:
-            return self._validate_flat()
+        """Recompute everything from scratch; exact equality required."""
         seen_tokens = []
         for c in self.order:
             toks = self.chunk_tokens[c]
@@ -657,18 +668,4 @@ class ChordStore:
             if self.rank_of[c] != r or self.pos_base[c] != run:
                 return False, f"order cache stale at chunk {c}"
             run += len(self.chunk_tokens[c])
-        return True, ""
-
-    def _validate_flat(self) -> tuple[bool, str]:
-        every = np.arange(self.m)
-        if not np.array_equal(np.sort(self.tok), every):
-            return False, "token array is not a permutation"
-        if not np.array_equal(self.pos[self.tok], every):
-            return False, "stale token position"
-        pairs = np.array(list(self.vert_tok.values()), dtype=np.intp)
-        if not np.array_equal(np.sort(pairs, axis=None), every):
-            return False, "vertex token pairs do not partition the tokens"
-        vs = np.array(list(self.vert_tok), dtype=np.intp)
-        if not np.array_equal(self.occ_owner[pairs], np.stack((vs, vs), axis=1)):
-            return False, "owner table disagrees with the vertex token pairs"
         return True, ""

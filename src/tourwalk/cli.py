@@ -57,6 +57,9 @@ def _emit_manifest(manifest: dict, path: str | None) -> None:
 
 
 def cmd_sample(args) -> int:
+    if args.runs < 1:
+        print("error: --runs must be at least 1", file=sys.stderr)
+        return 2
     try:
         text = Path(args.graph).read_text()
     except OSError as exc:

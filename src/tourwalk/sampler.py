@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .chordstore import ChordStore
+from .chordstore import ChordStore, ChunkedStore
 from .multigraph import (
     DirectedMultigraph,
     Tour,
@@ -25,11 +25,11 @@ from .rng import SplitMix64
 from .switchnet import expand_graph, project_tour
 from .walk import WalkStats, mixing_steps, run_walk
 
-# Up to this many arcs the walk keeps the tour in one chunk, scanned whole
+# Up to this many arcs the walk keeps the tour in a ChordStore, scanned whole
 # each step: O(M) numpy work and O(1) Python work, against O(sqrt(M)) Python
-# work per step in the chunked store.  This is the measured crossover: with
+# work per step in a ChunkedStore.  This is the measured crossover: with
 # ``tourwalk bench --impl flat,fast --steps 100`` on 2 vCPU (ms per step,
-# flat/chunked) the one-chunk step led at M = 360 (0.015/0.127), 640k
+# flat/chunked) the flat step led at M = 360 (0.015/0.127), 640k
 # (2.6/6.7) and 2^21 (12.8/16.8), was level to ahead at 2,621,440
 # (15.6/20.0, 17.1/17.1) and behind from 3,145,728 (20.7/19.2, 23.8/21.5)
 # and 2^22 (30.7/25.7) on.
@@ -77,11 +77,6 @@ class SampleReport:
                 "store": self.walk.store,
             },
         }
-
-
-def _chunk_size(m: int) -> int | None:
-    """One chunk up to FLAT_MAX_M arcs; the store's default sqrt(M) beyond."""
-    return m if m <= FLAT_MAX_M else None
 
 
 def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
@@ -137,7 +132,7 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
 
     t = time.perf_counter()
     start = hierholzer_tour(star)
-    store = ChordStore(start.arcs, star.heads, chunk_size=_chunk_size(star.m))
+    store = (ChordStore if star.m <= FLAT_MAX_M else ChunkedStore)(start.arcs, star.heads)
     rng.spawn(2)  # once the store's seed; skipping the draw would change every tour
     timings["build"] = time.perf_counter() - t
 
@@ -184,7 +179,7 @@ def sample_degree_two(
     if n <= 1:
         return start
     rng = SplitMix64(cfg.seed)
-    store = ChordStore(start.arcs, h.heads, chunk_size=_chunk_size(h.m))
+    store = (ChordStore if h.m <= FLAT_MAX_M else ChunkedStore)(start.arcs, h.heads)
     rng.spawn(1)  # once the store's seed; skipping the draw would change every tour
     steps = (
         cfg.step_override

@@ -23,7 +23,7 @@ from .chords import (
     principal_det_int,
     signed_interlacement,
 )
-from .chordstore import ChordStore
+from .chordstore import ChunkedStore
 from .generators import gen_regular2
 from .multigraph import (
     DirectedMultigraph,
@@ -152,7 +152,7 @@ def suite_chain(max_arcs: int = 12, graphs: int = 50, seed: int = 0):
         # one-step exact-distribution equality: candidate sets must agree
         tour = census.tours[0]
         state = WalkState(g, tour)
-        store = ChordStore(tour.arcs, g.heads)
+        store = ChunkedStore(tour.arcs, g.heads)
         agree = True
         for x in state.vertices:
             naive = state.crossing_vertices(x)
@@ -426,7 +426,7 @@ def repair_uniformity_chi2(
     """Chi-square p-value for sample_repair's law on a fixed state."""
     g = gen_regular2(m // 2, seed)
     tour = hierholzer_tour(g)
-    store = ChordStore(tour.arcs, g.heads)
+    store = ChunkedStore(tour.arcs, g.heads)
     rng = SplitMix64(seed + 1)
     # pick the vertex with the largest crossing set for a meaningful test
     best_x, best_w = 0, -1
@@ -450,7 +450,7 @@ def equivalence_run(m: int, steps: int, seed: int = 0) -> dict:
     g = gen_regular2(m // 2, seed)
     tour = hierholzer_tour(g)
     state = WalkState(g, tour)
-    store = ChordStore(tour.arcs, g.heads)
+    store = ChunkedStore(tour.arcs, g.heads)
     r1, r2 = SplitMix64(seed + 1), SplitMix64(seed + 1)
     ok = True
     for i in range(1, steps + 1):

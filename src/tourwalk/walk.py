@@ -7,15 +7,15 @@ intermediate two-circuit state is never materialized.
 
 Two implementations share one selection protocol: a step consumes exactly one
 vertex draw and one uniform real.  ``step_naive`` scans the whole tour;
-``step_fast`` answers the same crossing query through a ChordStore.  In
+``step_fast`` answers the same crossing query through a chord store.  In
 mirrored mode the fast step resolves the uniform real against the same
 vertex-id-sorted candidate list as the naive step, which makes paired
 trajectories identical; in its default mode it uses the store's two-stage
-class draw, which has the same distribution at sublinear cost.  On a
-one-chunk store every crossing is explicit and sorted by vertex id, so the
-two modes, and the naive step, pick the same vertex.  The naive
-step keeps its tour in a WalkState; the fast step keeps it in the ChordStore
-alone.
+class draw, which has the same distribution at sublinear cost on a
+``ChunkedStore``.  On a ``ChordStore`` every crossing is explicit and sorted
+by vertex id, so the two modes, and the naive step, pick the same vertex.
+The naive step keeps its tour in a WalkState; the fast step keeps it in the
+store alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .chordstore import ChordStore
+from .chordstore import ChordStore, ChunkedStore
 from .multigraph import DirectedMultigraph, Tour
 from .rng import SplitMix64
 
@@ -114,7 +114,9 @@ def step_naive(state: WalkState, rng: SplitMix64) -> StepOutcome:
     return StepOutcome(x=x, y=y, crossings=w)
 
 
-def step_fast(store: ChordStore, rng: SplitMix64, mirror: bool = False) -> StepOutcome:
+def step_fast(
+    store: ChordStore | ChunkedStore, rng: SplitMix64, mirror: bool = False
+) -> StepOutcome:
     """Store-backed step with the same outcome distribution as step_naive.
 
     With ``mirror=True`` the repair choice resolves the uniform real against
@@ -157,7 +159,7 @@ class WalkStats:
     crossing_sum: int = 0
     seconds: float = 0.0
     validations: int = 0
-    store: str | None = None  # "flat" (one chunk) or "chunks"; None if no walk ran
+    store: str | None = None  # the store's kind: "flat" or "chunks"; None if no walk
 
     @property
     def self_loop_fraction(self) -> float:
@@ -169,7 +171,7 @@ class WalkStats:
 
 
 def run_walk(
-    store: ChordStore,
+    store: ChordStore | ChunkedStore,
     steps: int,
     rng: SplitMix64,
     debug_graph: DirectedMultigraph | None = None,
@@ -185,7 +187,7 @@ def run_walk(
     debug = debug_graph is not None
     if debug:
         store.tour().validate_in(debug_graph)
-    stats = WalkStats(store="flat" if store.flat else "chunks")
+    stats = WalkStats(store=store.kind)
     t0 = time.perf_counter()
     next_check = 1
     for i in range(1, steps + 1):

@@ -24,7 +24,7 @@ import pytest
 from conftest import double_pair
 from tourwalk import skewlab as lab
 from tourwalk.bench import bench_rung
-from tourwalk.chordstore import ChordStore
+from tourwalk.chordstore import ChunkedStore
 from tourwalk.generators import gen_regular2
 from tourwalk.multigraph import (
     DirectedMultigraph,
@@ -345,7 +345,7 @@ def test_criterion_7_data_structure_equivalence():
     g = gen_regular2(512, seed=11)  # M = 1024
     tour = hierholzer_tour(g)
     state = WalkState(g, tour)
-    store = ChordStore(tour.arcs, g.heads)
+    store = ChunkedStore(tour.arcs, g.heads)
     r1, r2 = SplitMix64(2024), SplitMix64(2024)
     steps = 100_000
     validations = 0

@@ -3,16 +3,19 @@ from scipy import stats
 
 from conftest import double_pair, two_loops
 from tourwalk.chords import diagram_from_pairs, graph_from_diagram
-from tourwalk.chordstore import ChordStore
+from tourwalk.chordstore import ChordStore, ChunkedStore
 from tourwalk.generators import gen_regular2
 from tourwalk.multigraph import Tour, hierholzer_tour
 from tourwalk.rng import SplitMix64
 from tourwalk.walk import WalkState, run_walk, step_fast
 
 
-def store_for(g, tour=None, **kw):
+STORES = (ChordStore, ChunkedStore)
+
+
+def store_for(g, tour=None, cls=ChunkedStore, **kw):
     tour = tour or hierholzer_tour(g)
-    return ChordStore(tour.arcs, g.heads, **kw)
+    return cls(tour.arcs, g.heads, **kw)
 
 
 def test_build_m4_b2_two_chunks():
@@ -25,27 +28,19 @@ def test_build_m4_b2_two_chunks():
 
 def test_build_degenerate_single_chunk():
     g = double_pair()
-    store = store_for(g, chunk_size=3)  # M=4: the remainder merges back
-    assert not store.flat and len(store.order) == 1
-    res = store.crossing_query(0)
-    assert res.w_total == 1 and store.crossing_vertices(res) == [1]
-    store.apply_four_cut(0, 1)
-    assert store.validate() == (True, "")
-
-
-def test_build_flat_single_chunk():
-    g = double_pair()
-    store = store_for(g, chunk_size=16)  # M=4 < B: one flat chunk
-    assert store.flat and store.tok.tolist() == [0, 1, 2, 3]
-    res = store.crossing_query(0)
-    assert res.w_total == 1 and store.crossing_vertices(res) == [1]
-    store.apply_four_cut(0, 1)
-    assert store.validate() == (True, "")
+    for b in (3, 16):  # M=4: the remainder merges back, or B >= M
+        store = store_for(g, chunk_size=b)
+        assert len(store.order) == 1
+        res = store.crossing_query(0)
+        assert res.w_total == 1 and store.crossing_vertices(res) == [1]
+        store.apply_four_cut(0, 1)
+        assert store.validate() == (True, "")
 
 
 def test_build_rejects_bad_ownership():
-    with pytest.raises(ValueError, match="owns"):
-        ChordStore([0, 1, 2, 3], [0, 0, 0, 1])
+    for cls in STORES:
+        with pytest.raises(ValueError, match="owns"):
+            cls([0, 1, 2, 3], [0, 0, 0, 1])
 
 
 def test_build_random_validates():
@@ -56,53 +51,57 @@ def test_build_random_validates():
 
 def test_crossing_query_examples():
     g = double_pair()
-    store = store_for(g)
-    res = store.crossing_query(0)
-    assert res.w_total == 1
-    assert store.crossing_vertices(res) == [1]
-    # nested chords never cross
     nested_g, nested_tour = graph_from_diagram(
         diagram_from_pairs({0: (0, 3), 1: (1, 2)})
     )
-    nstore = store_for(nested_g, nested_tour)
-    assert nstore.crossing_query(0).w_total == 0
-    assert nstore.crossing_query(1).w_total == 0
+    for cls in STORES:
+        store = store_for(g, cls=cls)
+        res = store.crossing_query(0)
+        assert res.w_total == 1
+        assert store.crossing_vertices(res) == [1]
+        # nested chords never cross
+        nstore = store_for(nested_g, nested_tour, cls=cls)
+        assert nstore.crossing_query(0).w_total == 0
+        assert nstore.crossing_query(1).w_total == 0
 
 
 def test_crossing_query_matches_naive_scan():
     g = gen_regular2(512, seed=3)
     tour = hierholzer_tour(g)
-    store = store_for(g, tour)
-    state = WalkState(g, tour)
-    rng = SplitMix64(17)
-    for trial in range(1500):
-        x = state.vertices[rng.randrange(len(state.vertices))]
-        res = store.crossing_query(x)
-        naive = state.crossing_vertices(x)
-        assert res.w_total == len(naive)
-        assert store.crossing_vertices(res) == naive
-        if trial % 100 == 0:
-            y = store.sample_repair(x, res, rng)
-            if y != x:
-                store.apply_four_cut(x, y)
-                state.apply_four_cut(x, y)
+    for cls in STORES:
+        store = store_for(g, tour, cls=cls)
+        state = WalkState(g, tour)
+        rng = SplitMix64(17)
+        for trial in range(1500):
+            x = state.vertices[rng.randrange(len(state.vertices))]
+            res = store.crossing_query(x)
+            naive = state.crossing_vertices(x)
+            assert res.w_total == len(naive)
+            assert store.crossing_vertices(res) == naive
+            if trial % 100 == 0:
+                y = store.sample_repair(x, res, rng)
+                if y != x:
+                    store.apply_four_cut(x, y)
+                    state.apply_four_cut(x, y)
 
 
 def test_sample_repair_forced_when_no_crossings():
     g, tour = graph_from_diagram(diagram_from_pairs({0: (0, 3), 1: (1, 2)}))
-    store = store_for(g, tour)
-    res = store.crossing_query(0)
-    rng = SplitMix64(3)
-    assert all(store.sample_repair(0, res, rng) == 0 for _ in range(64))
+    for cls in STORES:
+        store = store_for(g, tour, cls=cls)
+        res = store.crossing_query(0)
+        rng = SplitMix64(3)
+        assert all(store.sample_repair(0, res, rng) == 0 for _ in range(64))
 
 
 def test_sample_repair_one_crossing_is_half_half():
     g = double_pair()
-    store = store_for(g)
-    res = store.crossing_query(0)
-    rng = SplitMix64(11)
-    hits = sum(store.sample_repair(0, res, rng) == 0 for _ in range(40000))
-    assert abs(hits / 40000 - 0.5) < 0.01
+    for cls in STORES:
+        store = store_for(g, cls=cls)
+        res = store.crossing_query(0)
+        rng = SplitMix64(11)
+        hits = sum(store.sample_repair(0, res, rng) == 0 for _ in range(40000))
+        assert abs(hits / 40000 - 0.5) < 0.01
 
 
 def test_sample_repair_chi_square_uniformity():
@@ -126,29 +125,38 @@ def test_sample_repair_chi_square_uniformity():
 
 def test_sample_repair_rejects_stale_result():
     g = double_pair()
-    store = store_for(g)
-    res = store.crossing_query(0)
-    store.apply_four_cut(0, 1)
-    with pytest.raises(ValueError, match="stale"):
-        store.sample_repair(0, res, SplitMix64(0))
+    for cls in STORES:
+        store = store_for(g, cls=cls)
+        res = store.crossing_query(0)
+        store.apply_four_cut(0, 1)
+        with pytest.raises(ValueError, match="stale"):
+            store.sample_repair(0, res, SplitMix64(0))
+        with pytest.raises(ValueError, match="stale"):
+            store.crossing_vertices(res)
 
 
 def test_four_cut_double_pair_and_involution():
     g = double_pair()
-    store = store_for(g)
-    store.apply_four_cut(0, 1)
-    assert store.tour() == Tour.canonical([0, 3, 2, 1])
-    store.apply_four_cut(0, 1)
-    assert store.tour() == Tour.canonical([0, 1, 2, 3])
+    for cls in STORES:
+        store = store_for(g, cls=cls)
+        assert store.tour() == Tour.canonical([0, 1, 2, 3])
+        store.apply_four_cut(0, 1)
+        assert store.tour() == Tour.canonical([0, 3, 2, 1])
+        assert store.validate() == (True, "")
+        store.apply_four_cut(0, 1)
+        assert store.tour() == Tour.canonical([0, 1, 2, 3])
+        assert store.validate() == (True, "")
 
 
 def test_four_cut_rejects_non_crossing():
     g, tour = graph_from_diagram(diagram_from_pairs({0: (0, 3), 1: (1, 2)}))
-    store = store_for(g, tour)
-    with pytest.raises(ValueError, match="do not cross"):
-        store.apply_four_cut(0, 1)
-    with pytest.raises(ValueError):
-        store.apply_four_cut(0, 0)
+    for cls in STORES:
+        store = store_for(g, tour, cls=cls)
+        with pytest.raises(ValueError, match="do not cross"):
+            store.apply_four_cut(0, 1)
+        with pytest.raises(ValueError):
+            store.apply_four_cut(0, 0)
+        assert store.validate() == (True, "") and store.tour() == tour
 
 
 def test_four_cut_long_random_run_validates():
@@ -234,9 +242,9 @@ def test_validator_fault_injection():
 
 def test_flat_validator_fault_injection():
     g = gen_regular2(64, seed=2)
-    store = store_for(g, chunk_size=g.m)
+    store = store_for(g, cls=ChordStore)
     run_walk(store, 50, SplitMix64(4))
-    assert store.flat and store.validate() == (True, "")
+    assert store.validate() == (True, "")
     tok, pos = store.tok, store.pos
     u, v = store.vertices[:2]
     pair_u, pair_v = store.vert_tok[u], store.vert_tok[v]
@@ -264,17 +272,6 @@ def test_flat_validator_fault_injection():
         assert store.validate() == (True, "")
 
 
-def test_flat_four_cut_rejects_non_crossing():
-    g, tour = graph_from_diagram(diagram_from_pairs({0: (0, 3), 1: (1, 2)}))
-    store = store_for(g, tour, chunk_size=g.m)
-    assert store.flat
-    with pytest.raises(ValueError, match="do not cross"):
-        store.apply_four_cut(0, 1)
-    with pytest.raises(ValueError):
-        store.apply_four_cut(0, 0)
-    assert store.validate() == (True, "") and store.tour() == tour
-
-
 def test_retire_rejects_identifier_with_endpoints():
     g = gen_regular2(64, seed=2)
     store = store_for(g)
@@ -289,13 +286,13 @@ def test_debug_walk_flushes_many_touched_keys(monkeypatch):
     store = store_for(g)
     assert store.m == 4096
     sizes = []
-    real = ChordStore._flush
+    real = ChunkedStore._flush
 
     def spy(self):
         sizes.append(len(self._touched))
         real(self)
 
-    monkeypatch.setattr(ChordStore, "_flush", spy)
+    monkeypatch.setattr(ChunkedStore, "_flush", spy)
     _, stats = run_walk(store, 200, SplitMix64(6), debug_graph=g)
     assert stats.validations == 200
     assert stats.self_loops < 200
@@ -304,7 +301,9 @@ def test_debug_walk_flushes_many_touched_keys(monkeypatch):
 
 def test_two_loop_store():
     g = two_loops()
-    store = store_for(g)
-    res = store.crossing_query(0)
-    assert res.w_total == 0
-    assert store.tour() == Tour.canonical([0, 1])
+    for cls in STORES:
+        store = store_for(g, cls=cls)
+        res = store.crossing_query(0)
+        assert res.w_total == 0
+        assert store.tour() == Tour.canonical([0, 1])
+        assert store.validate() == (True, "")

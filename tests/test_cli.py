@@ -75,6 +75,16 @@ def test_sample_bad_graph_exits_two(tmp_path):
     assert main(["sample", "--graph", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("runs", ["0", "-1"])
+@pytest.mark.parametrize("tv", [[], ["--tv-against-census"]], ids=["plain", "tv"])
+def test_sample_rejects_runs_below_one(triangle, tmp_path, capsys, runs, tv):
+    manifest = tmp_path / "manifest.json"
+    argv = ["sample", "--graph", str(triangle), "--runs", runs, "--manifest", str(manifest)]
+    assert main(argv + tv) == 2
+    assert capsys.readouterr().err == "error: --runs must be at least 1\n"
+    assert not manifest.exists()
+
+
 def test_sample_runs_with_tv(triangle, capsys):
     rc = main(
         [

@@ -1,6 +1,6 @@
 """Seeded outputs pinned to literal values.
 
-The sampler walks both pinned graphs on a one-chunk store, which draws
+The sampler walks both pinned graphs on a ``ChordStore``, which draws
 exactly as ``step_naive`` does; ``test_pinned_walks_replay_step_naive``
 derives the same figures from a ``WalkState`` walk on the sampler's random
 stream and start tour.  The debug-walk figures, and the gadget figures of a
@@ -17,7 +17,7 @@ import json
 import pytest
 
 from tourwalk import sampler as sampler_mod
-from tourwalk.chordstore import ChordStore
+from tourwalk.chordstore import ChunkedStore
 from tourwalk.generators import gen_regular2
 from tourwalk.multigraph import DirectedMultigraph, hierholzer_tour
 from tourwalk.rng import SplitMix64
@@ -160,7 +160,7 @@ def test_pinned_debug_walk(n, chunk_size, self_loops, crossing_sum, walk_digest)
     """1,000 validated steps at M = 360 (default B) and M = 512 with B = 7."""
     g = gen_regular2(n, seed=6)
     tour = hierholzer_tour(g)
-    store = ChordStore(tour.arcs, g.heads, chunk_size=chunk_size)
+    store = ChunkedStore(tour.arcs, g.heads, chunk_size=chunk_size)
     out, stats = run_walk(store, 1000, SplitMix64(8), debug_graph=g)
     assert stats.validations == 1000
     assert (stats.self_loops, stats.crossing_sum) == (self_loops, crossing_sum)

@@ -11,7 +11,7 @@ from tourwalk.chords import (
     graph_from_diagram,
     signed_interlacement,
 )
-from tourwalk.chordstore import ChordStore
+from tourwalk.chordstore import ChordStore, ChunkedStore
 from tourwalk.generators import gen_regular2
 from tourwalk.multigraph import (
     Tour,
@@ -33,7 +33,7 @@ from tourwalk.walk import (
 
 
 def make_store(g, tour):
-    return ChordStore(tour.arcs, g.heads)
+    return ChunkedStore(tour.arcs, g.heads)
 
 
 def test_crossing_set_double_pair():
@@ -115,13 +115,12 @@ def test_paired_trajectories_identical():
     ids=["M4", "M6", "M360", "M1024"],
 )
 def test_flat_store_default_draw_matches_step_naive(graph, steps):
-    """A one-chunk store lists every crossing in vertex-id order, so even the
+    """A ChordStore lists every crossing in vertex-id order, so even the
     default (not mirrored) repair draw follows step_naive step for step."""
     g = graph()
     tour = hierholzer_tour(g)
     state = WalkState(g, tour)
-    store = ChordStore(tour.arcs, g.heads, chunk_size=g.m)
-    assert store.flat
+    store = ChordStore(tour.arcs, g.heads)
     r1, r2 = SplitMix64(91), SplitMix64(91)
     accepted = 0
     for i in range(steps):
@@ -136,7 +135,7 @@ def test_flat_store_default_draw_matches_step_naive(graph, steps):
 
 def test_flat_store_debug_walk_validates_every_step():
     g = gen_regular2(180, seed=4)
-    store = ChordStore(hierholzer_tour(g).arcs, g.heads, chunk_size=g.m)
+    store = ChordStore(hierholzer_tour(g).arcs, g.heads)
     out, stats = run_walk(store, 300, SplitMix64(3), debug_graph=g)
     assert stats.store == "flat"
     assert stats.validations == 300
