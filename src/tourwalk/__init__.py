@@ -26,7 +26,7 @@ from .multigraph import (
 )
 from .oracle import TourCensus, best_count, empirical_tv, enumerate_tours
 from .rng import SplitMix64
-from .sampler import SampleConfig, SampleReport, sample_degree_two, sample_tour
+from .sampler import SampleConfig, SampleReport, sample_tour
 
 __all__ = [
     "DirectedMultigraph",
@@ -45,7 +45,6 @@ __all__ = [
     "graph_to_text",
     "hierholzer_tour",
     "lift_suppressed",
-    "sample_degree_two",
     "sample_tour",
     "suppress_degree_one",
     "tour_from_text",

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .multigraph import DirectedMultigraph, Tour
+from .oracle import det_bareiss
 
 
 @dataclass(frozen=True)
@@ -203,28 +204,7 @@ def principal_det_int(a_mat: np.ndarray, subset: Sequence[int]) -> int:
     """Exact integer determinant of A[S,S] by fraction-free elimination."""
     subset = list(subset)
     sub = [[int(a_mat[i, j]) for j in subset] for i in subset]
-    return _det_int(sub)
-
-
-def _det_int(mat: list[list[int]]) -> int:
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+    return det_bareiss(sub)
 
 
 def feasible(cd: ChordDiagram, a_mat: np.ndarray, subset: Sequence[int]) -> bool:

@@ -33,6 +33,14 @@ def _vertex_tokens(arcs, heads):
     return arcs, owners, vert_tok, sorted(vert_tok)
 
 
+def repair_index(w: int, u: float) -> int:
+    """Map one uniform real to a repair index in 0..w (0 = self-loop).
+
+    Every step implementation draws through this one rule, so paired walks
+    on the same randomness pick the same vertex on every store."""
+    return min(int(u * (w + 1)), w)
+
+
 @dataclass
 class FlatQueryResult:
     """The vertices whose chords cross a queried chord, ascending by id."""
@@ -95,11 +103,10 @@ class ChordStore:
 
     def sample_repair(self, x: int, res: FlatQueryResult, rng: SplitMix64) -> int:
         """x with probability 1/(W+1), else a uniform crossing vertex; one
-        uniform real picks the index as ``walk._select`` does."""
+        uniform real picks the index through ``repair_index``."""
         if res.generation != self.generation:
             raise ValueError("stale crossing query result")
-        w = len(res.crossings)
-        k = min(int(rng.random() * (w + 1)), w)
+        k = repair_index(len(res.crossings), rng.random())
         return x if k == 0 else int(res.crossings[k - 1])
 
     def apply_four_cut(self, x: int, y: int) -> None:
@@ -430,9 +437,7 @@ class ChunkedStore:
         """
         if res.generation != self.generation:
             raise ValueError("stale crossing query result")
-        w = res.w_total
-        u = rng.random()
-        k = min(int(u * (w + 1)), w)
+        k = repair_index(res.w_total, rng.random())
         if k == 0:
             return x
         k -= 1

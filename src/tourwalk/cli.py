@@ -73,18 +73,17 @@ def cmd_sample(args) -> int:
     t0 = time.perf_counter()
     results: dict = {}
     try:
-        if args.runs == 1:
-            report = sample_tour(
-                g,
-                SampleConfig(
-                    eps=args.eps,
-                    seed=args.seed,
-                    c_mix=args.c_mix,
-                    network_c=args.network_c,
-                    gadget_min_degree=args.gadget_min_degree,
-                    step_override=args.steps,
-                ),
+        reports = []
+        for i in range(args.runs):
+            cfg = SampleConfig(
+                eps=args.eps,
+                seed=derived_seed(args.seed, i),
+                c_mix=args.c_mix,
+                step_override=args.steps,
             )
+            reports.append(sample_tour(g, cfg))
+        if args.runs == 1:
+            report = reports[0]
             if args.out:
                 Path(args.out).write_text(tour_to_text(report.tour))
                 results["tour_path"] = args.out
@@ -95,21 +94,10 @@ def cmd_sample(args) -> int:
             results["steps"] = report.steps
             results["walk"] = report.to_json_dict()["walk"]
         else:
-            tours = []
-            for i in range(args.runs):
-                cfg = SampleConfig(
-                    eps=args.eps,
-                    seed=derived_seed(args.seed, i),
-                    c_mix=args.c_mix,
-                    network_c=args.network_c,
-                    gadget_min_degree=args.gadget_min_degree,
-                    step_override=args.steps,
-                )
-                tours.append(sample_tour(g, cfg).tour)
             results["runs"] = args.runs
             if args.tv_against_census:
                 census = enumerate_tours(g)
-                tv = empirical_tv(tours, census)
+                tv = empirical_tv([r.tour for r in reports], census)
                 results["census"] = census.count
                 results["empirical_tv"] = tv
                 print(f"empirical TV over {census.count} tours: {tv:.4f}")
@@ -137,10 +125,6 @@ def cmd_verify(args) -> int:
         kwargs = {"constructions": args.constructions}
     try:
         records = run_suite(args.suite, **kwargs)
-        if args.m and args.steps and args.suite in ("chords", "chain", "all"):
-            from .verify import equivalence_run
-
-            records.append(equivalence_run(args.m, args.steps))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -271,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--runs", type=int, default=1)
     ps.add_argument("--tv-against-census", action="store_true")
     ps.add_argument("--c-mix", type=float, default=4.0)
-    ps.add_argument("--network-c", type=float, default=2.0)
-    ps.add_argument("--gadget-min-degree", type=int, default=3)
     ps.add_argument("--steps", type=int, default=None, help="override the step schedule")
     ps.add_argument("--out", help="tour output path")
     ps.add_argument("--report", help="sample report JSON path")
@@ -290,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-arcs", type=int, default=12)
     pv.add_argument("--graphs", type=int, default=50)
     pv.add_argument("--constructions", type=int, default=200)
-    pv.add_argument("--m", type=int, default=None, help="equivalence-run size (arcs)")
-    pv.add_argument("--steps", type=int, default=None, help="equivalence-run steps")
     pv.add_argument("--manifest")
     pv.set_defaults(func=cmd_verify)
 

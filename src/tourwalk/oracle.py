@@ -9,6 +9,7 @@ arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ def transition_systems(g: DirectedMultigraph):
     active = g.active_vertices()
     budget = 1
     for v in active:
-        budget *= _factorial(len(g.in_arcs[v]))
+        budget *= math.factorial(len(g.in_arcs[v]))
         if budget > ENUMERATION_BUDGET:
             raise ValueError(
                 f"enumeration budget exceeded: product of degree factorials > {ENUMERATION_BUDGET}"
@@ -72,14 +73,7 @@ def enumerate_tours(g: DirectedMultigraph) -> TourCensus:
     return TourCensus(tuple(tours))
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _det_bareiss(mat: list[list[int]]) -> int:
+def det_bareiss(mat: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free Bareiss elimination."""
     a = [row[:] for row in mat]
     n = len(a)
@@ -121,7 +115,7 @@ def arborescence_count(g: DirectedMultigraph, root: int) -> int:
     minor = [
         [lap[i][j] for j in range(k) if j != r] for i in range(k) if i != r
     ]
-    return _det_bareiss(minor)
+    return det_bareiss(minor)
 
 
 def best_count(g: DirectedMultigraph) -> int:
@@ -141,7 +135,8 @@ def best_count(g: DirectedMultigraph) -> int:
         )
     total = counts[0]
     for v in active:
-        total *= _factorial(len(g.out_arcs[v]) - 1)
+        # a sink (out-degree zero) leaves no arborescence, so total is 0
+        total *= math.factorial(max(len(g.out_arcs[v]) - 1, 0))
     return total
 
 

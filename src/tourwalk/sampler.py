@@ -5,6 +5,12 @@ eps/4 of headroom for projection bias, and eps/16 for the chance that some
 random gadget misses its pointwise guarantee.  Per-gadget error and failure
 parameters are eps/(16 m) each, so their sums stay inside the budget for any
 Eulerian input with m arcs.
+
+``sample_tour`` is the one entry point.  A graph that is already 2-in/2-out
+gets no gadgets and goes straight to the walk.  Every vertex of degree three
+or more gets a switching network sized by the per-gadget budget above and
+nothing else, so an expansion that is not 2-in/2-out and Eulerian can only
+be an internal fault, and raises AssertionError.
 """
 
 from __future__ import annotations
@@ -41,10 +47,7 @@ class SampleConfig:
     eps: float
     seed: int
     c_mix: float = 4.0
-    network_c: float = 2.0
-    gadget_min_degree: int = 3
     step_override: int | None = None
-    debug: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
@@ -117,8 +120,6 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
         eta=eta,
         delta=eta,
         rng=rng.spawn(1),
-        c=cfg.network_c,
-        gadget_min_degree=cfg.gadget_min_degree,
         original=g,
         trace=trace,
     )
@@ -142,9 +143,7 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
         else mixing_steps(star.n, cfg.eps / 2.0, cfg.c_mix)
     )
     t = time.perf_counter()
-    tour_star, walk_stats = run_walk(
-        store, steps, rng.spawn(3), debug_graph=star if cfg.debug else None
-    )
+    tour_star, walk_stats = run_walk(store, steps, rng.spawn(3))
     timings["walk"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -161,31 +160,3 @@ def sample_tour(g: DirectedMultigraph, cfg: SampleConfig) -> SampleReport:
         seed=cfg.seed,
         walk=walk_stats,
     )
-
-
-def sample_degree_two(
-    h: DirectedMultigraph, eps: float, cfg: SampleConfig | None = None
-) -> Tour:
-    """Walk-based sampler for a graph that is already 2-in/2-out."""
-    if cfg is None:
-        cfg = SampleConfig(eps=eps, seed=0)
-    viol = eulerian_violation(h)
-    if viol is not None:
-        raise ValueError(f"not Eulerian: {viol}")
-    if not h.is_degree_two():
-        raise ValueError("graph is not 2-in/2-out")
-    start = hierholzer_tour(h)
-    n = len(h.active_vertices())
-    if n <= 1:
-        return start
-    rng = SplitMix64(cfg.seed)
-    store = (ChordStore if h.m <= FLAT_MAX_M else ChunkedStore)(start.arcs, h.heads)
-    rng.spawn(1)  # once the store's seed; skipping the draw would change every tour
-    steps = (
-        cfg.step_override
-        if cfg.step_override is not None
-        else mixing_steps(n, eps, cfg.c_mix)
-    )
-    tour, _ = run_walk(store, steps, rng.spawn(2))
-    tour.validate_in(h)
-    return tour

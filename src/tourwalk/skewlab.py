@@ -119,10 +119,6 @@ def _mask_tables(n: int):
     return masks, pops, signs
 
 
-def subset_popcounts(n: int) -> np.ndarray:
-    return _mask_tables(n)[1]
-
-
 def apply_flip(n: int, i: int, x: np.ndarray) -> np.ndarray:
     """Signed coordinate flip c_i = insertion plus deletion."""
     masks, _, signs = _mask_tables(n)
@@ -142,15 +138,6 @@ def apply_delete(n: int, i: int, x: np.ndarray) -> np.ndarray:
     masks, _, signs = _mask_tables(n)
     out = signs[i] * x[masks ^ (1 << i)]
     out[(masks >> i) & 1 == 1] = 0.0
-    return out
-
-
-def apply_flip_vector(n: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """c_b = sum_i b_i c_i."""
-    out = np.zeros_like(x)
-    for i in range(n):
-        if b[i] != 0.0:
-            out += b[i] * apply_flip(n, i, x)
     return out
 
 
@@ -313,10 +300,6 @@ class ExcitationBasis:
     def even_masks(self) -> np.ndarray:
         _, pops, _ = _mask_tables(self.n)
         return np.flatnonzero(pops % 2 == 0)
-
-    def odd_masks(self) -> np.ndarray:
-        _, pops, _ = _mask_tables(self.n)
-        return np.flatnonzero(pops % 2 == 1)
 
 
 def pfaffian_vector(a: np.ndarray) -> np.ndarray:

@@ -206,16 +206,15 @@ def expand_graph(
     delta: float,
     rng: SplitMix64,
     c: float = 2.0,
-    gadget_min_degree: int = 3,
     original: DirectedMultigraph | None = None,
     trace: SuppressionTrace | None = None,
 ) -> ExpansionMap:
-    """Replace every vertex of degree >= gadget_min_degree by a network.
+    """Replace every vertex of degree >= 3 by a network.
 
-    Vertices of degree two below the threshold are kept verbatim; they
-    already meet the degree target, and retaining them is an exact gadget
-    (both local pairings realized by exactly one setting each).  The input
-    must have minimum degree two on its non-isolated vertices.
+    Vertices of degree two are kept verbatim; they already meet the degree
+    target, and retaining them is an exact gadget (both local pairings
+    realized by exactly one setting each).  The input must have minimum
+    degree two on its non-isolated vertices.
     """
     active = base.active_vertices()
     for v in active:
@@ -226,7 +225,7 @@ def expand_graph(
     kept: dict[int, int] = {}
     gadget_specs: list[int] = []
     for v in active:
-        if len(base.in_arcs[v]) >= gadget_min_degree:
+        if len(base.in_arcs[v]) >= 3:
             gadget_specs.append(v)
         else:
             kept[v] = -1  # id assigned below

@@ -44,7 +44,7 @@ from .switchnet import (
     project_transition,
     random_star_transition,
 )
-from .walk import WalkState, step_fast, step_naive
+from .walk import WalkState
 
 
 def _rec(check: str, value, ok: bool, n: int | None = None, seed: int | None = None):
@@ -443,29 +443,6 @@ def repair_uniformity_chi2(
     observed = [counts.get(v, 0) for v in support]
     _, pval = stats.chisquare(observed)
     return float(pval), best_w
-
-
-def equivalence_run(m: int, steps: int, seed: int = 0) -> dict:
-    """Shared-randomness naive/fast trajectory equality at a given size."""
-    g = gen_regular2(m // 2, seed)
-    tour = hierholzer_tour(g)
-    state = WalkState(g, tour)
-    store = ChunkedStore(tour.arcs, g.heads)
-    r1, r2 = SplitMix64(seed + 1), SplitMix64(seed + 1)
-    ok = True
-    for i in range(1, steps + 1):
-        o1 = step_naive(state, r1)
-        o2 = step_fast(store, r2, mirror=True)
-        if (o1.x, o1.y, o1.crossings) != (o2.x, o2.y, o2.crossings):
-            ok = False
-            break
-        if i % 1024 == 0:
-            valid, _ = store.validate()
-            ok = ok and valid and state.tour() == store.tour()
-            if not ok:
-                break
-    ok = ok and state.tour() == store.tour() and store.validate()[0]
-    return _rec("trajectory_equivalence", float(ok), ok, m, seed)
 
 
 SUITES = {

@@ -24,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .chordstore import ChordStore, ChunkedStore
+from .chordstore import ChordStore, ChunkedStore, repair_index
 from .multigraph import DirectedMultigraph, Tour
 from .rng import SplitMix64
 
@@ -97,17 +97,12 @@ class WalkState:
             pos[v].append(p)
 
 
-def _select(w: int, u: float) -> int:
-    """Map one uniform real to a candidate index in 0..w (0 = self-loop)."""
-    return min(int(u * (w + 1)), w)
-
-
 def step_naive(state: WalkState, rng: SplitMix64) -> StepOutcome:
     """Reference step: O(M) scan, rebuilds the positional arrays on accept."""
     x = state.vertices[rng.randrange(len(state.vertices))]
     crossings = state.crossing_vertices(x)
     w = len(crossings)
-    k = _select(w, rng.random())
+    k = repair_index(w, rng.random())
     y = x if k == 0 else crossings[k - 1]
     if y != x:
         state.apply_four_cut(x, y)
@@ -129,7 +124,7 @@ def step_fast(
     res = store.crossing_query(x)
     w = res.w_total
     if mirror:
-        k = _select(w, rng.random())
+        k = repair_index(w, rng.random())
         y = x if k == 0 else store.crossing_vertices(res)[k - 1]
     else:
         y = store.sample_repair(x, res, rng)

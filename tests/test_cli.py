@@ -183,6 +183,17 @@ def test_verify_unknown_suite_exits_two():
     assert main(["verify", "--suite", "bogus"]) == 2
 
 
+def test_unknown_sample_and_verify_flags_exit_two(triangle, capsys):
+    sample = ["sample", "--graph", str(triangle), "--eps", "0.1", "--seed", "5"]
+    for argv in (
+        [*sample, "--network-c", "1"],
+        [*sample, "--gadget-min-degree", "4"],
+        ["verify", "--suite", "oracle", "--m", "64", "--steps", "10"],
+    ):
+        assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bench_header_only_when_zero_steps(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(

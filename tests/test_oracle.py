@@ -44,6 +44,11 @@ def test_best_count_triangle():
     assert best_count(bidirected_triangle()) == 3
 
 
+def test_best_count_zero_with_a_sink():
+    g = DirectedMultigraph(3, [(0, 1), (1, 0), (0, 2)])  # vertex 2 has no out-arc
+    assert best_count(g) == 0
+
+
 def test_best_count_matches_enumeration_on_random_graphs():
     made = 0
     seed = 100

@@ -4,7 +4,7 @@ from conftest import bidirected_triangle, double_pair, loop_star, two_loops
 from tourwalk.multigraph import DirectedMultigraph, hierholzer_tour
 from tourwalk.oracle import empirical_tv, enumerate_tours
 from tourwalk.rng import derived_seed
-from tourwalk.sampler import SampleConfig, sample_degree_two, sample_tour
+from tourwalk.sampler import SampleConfig, sample_tour
 
 
 def test_config_rejects_bad_eps():
@@ -81,34 +81,6 @@ def test_eta_budget_recorded():
 def test_malformed_expansion_is_internal_fault(malformed_expansion):
     with pytest.raises(AssertionError, match="not 2-in/2-out and Eulerian"):
         sample_tour(bidirected_triangle(), SampleConfig(eps=0.1, seed=5))
-
-
-def test_sample_degree_two_two_loops():
-    assert sample_degree_two(two_loops(), 0.5).arcs == (0, 1)
-
-
-def test_sample_degree_two_rejects_other_degrees():
-    with pytest.raises(ValueError):
-        sample_degree_two(loop_star(3), 0.5)
-
-
-def test_sample_degree_two_distribution_quick():
-    g = double_pair()
-    census = enumerate_tours(g)
-    samples = [
-        sample_degree_two(g, 0.1, SampleConfig(eps=0.1, seed=derived_seed(21, i)))
-        for i in range(2000)
-    ]
-    assert empirical_tv(samples, census) <= 0.05 + 3 * (2 / 2000) ** 0.5
-
-
-def test_sample_degree_two_large_graph_completes():
-    from tourwalk.generators import gen_regular2
-
-    g = gen_regular2(5000, seed=3)  # 10000 arcs
-    cfg = SampleConfig(eps=0.5, seed=1, step_override=300)
-    tour = sample_degree_two(g, 0.5, cfg)
-    tour.validate_in(g)
 
 
 def test_report_json_roundtrip():
